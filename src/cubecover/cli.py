@@ -66,16 +66,20 @@ class CliError(Exception):
 
 def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'a,b,c' or 'start:stop:step' (stop inclusive to 1e-9)."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise CliError(f"grid {text!r} must be start:stop:step or a comma list")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise CliError(f"grid {text!r} has a nonpositive step or stop < start")
-        k = int(math.floor((stop - start) / step + 1e-9))
-        return [start + i * step for i in range(k + 1)]
-    return [float(p) for p in text.split(",") if p]
+    ranged = ":" in text
+    parts = text.split(":") if ranged else [p for p in text.split(",") if p]
+    if ranged and len(parts) != 3:
+        raise CliError(f"grid {text!r} must be start:stop:step or a comma list")
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise CliError(f"grid {text!r} has a non-finite value")
+    if not ranged:
+        return values
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise CliError(f"grid {text!r} has a nonpositive step or stop < start")
+    k = int(math.floor((stop - start) / step + 1e-9))
+    return [start + i * step for i in range(k + 1)]
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -106,6 +110,12 @@ class Params:
         self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
 
     def get(self, name: str, default=None, kind=str):
+        value = self._lookup(name, default, kind)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        return value
+
+    def _lookup(self, name: str, default, kind):
         flag = getattr(self.args, name, None)
         if flag is not None:
             return flag

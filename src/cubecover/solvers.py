@@ -301,6 +301,11 @@ def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g:
     Targets farther than r from the whole delta-cube can never be hit; they
     keep the sentinel without entering any distance computation, and if they
     alone exceed the allowed miss fraction the cell is infeasible outright.
+
+    Blocks double from 1024 points up to 2**16 (26 MB of float64 at d = 50),
+    so peak memory does not grow with ``n_cap``.  The generator is consumed
+    in order and first hits are exact over prefixes, so the block schedule
+    does not change the result.
     """
     gen = stream.generator()
     n_targets = targets.shape[0]
@@ -325,7 +330,7 @@ def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g:
             hits[unhit[found]] = grown + sub[found]
             unhit = unhit[~found]
         grown += m
-        block = min(2 * block, 1 << 20)
+        block = min(2 * block, 1 << 16)
     return hits
 
 

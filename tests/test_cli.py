@@ -100,6 +100,14 @@ class TestValidation:
                      "--seed", "1"]) == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--r-grid", "0.3,nan"], ["--r-grid", "0.3:inf:0.1"],
+                                       ["--r", "nan"], ["--r", "inf"]])
+    def test_non_finite_radius_rejected(self, tmp_path, capsys, flags):
+        code, out = run(tmp_path, "o.csv", "coverage", "--dim", "3", "--n", "10", *flags, "--seed", "1")
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_error_exit_code(self, capsys):
         # kappa normalization r^d V_d underflows at d=200, r=0.01
         assert main(["kappa", "--dim", "200", "--r", "0.01", "--targets", "2",

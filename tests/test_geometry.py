@@ -141,6 +141,56 @@ class TestNearestDistanceEngines:
         expected = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, points.shape[0] + 1)
         assert np.array_equal(got, expected)
 
+    def test_first_hit_thread_count_does_not_change_result(self):
+        rng = np.random.default_rng(10)
+        targets = rng.random((3000, 25))
+        points = rng.random((2000, 25))
+        a = first_hit_index(targets, points, 1.1, threads=1, target_chunk=256, point_chunk=512)
+        b = first_hit_index(targets, points, 1.1, threads=2, target_chunk=256, point_chunk=512)
+        assert 0 < np.count_nonzero(a <= 2000) < 3000
+        assert np.array_equal(a, b)
+
+    def test_first_hit_merges_over_prefixes(self):
+        # growing designs rely on this: hits in P[:k], else k + hits in P[k:]
+        rng = np.random.default_rng(11)
+        targets = rng.random((2000, 20))
+        points = rng.random((3000, 20))
+        n, k, r = points.shape[0], 1234, 0.95
+        whole = first_hit_index(targets, points, r, point_chunk=1024)
+        head = first_hit_index(targets, points[:k], r, point_chunk=1024)
+        tail = first_hit_index(targets, points[k:], r, point_chunk=1024)
+        merged = np.where(head <= k, head, np.where(tail <= n - k, k + tail, n + 1))
+        assert 0 < np.count_nonzero(head <= k) < np.count_nonzero(whole <= n) < targets.shape[0]
+        assert np.array_equal(whole, merged)
+
+    def test_blas_error_within_float32_bound_d50(self):
+        d = 50
+        rng = np.random.default_rng(12)
+        targets = rng.random((200, d))
+        points = rng.random((5000, d))
+        got = min_squared_distances(targets, points, engine="blas")
+        exact = np.array([np.min(((points - u) ** 2).sum(axis=1)) for u in targets])
+        spread = ((targets - 0.5) ** 2).sum(axis=1) + ((points - 0.5) ** 2).sum(axis=1).max()
+        bound = np.finfo(np.float32).eps * d * spread
+        assert np.all(np.abs(got - exact) <= bound)
+
+    def test_near_radius_decisions_d50(self):
+        # targets at r(1 +- 1e-3) from one design point: a margin of about
+        # 2e-3 r^2, far above the float32 error bound at d = 50
+        d, r = 50, 0.5
+        rng = np.random.default_rng(13)
+        points = rng.random((2000, d))
+        owner = rng.choice(points.shape[0], size=400, replace=False)
+        direction = rng.standard_normal((400, d))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        scale = np.where(np.arange(400) % 2 == 0, 1 - 1e-3, 1 + 1e-3) * r
+        targets = points[owner] + scale[:, None] * direction
+        hit = np.array([((points - u) ** 2).sum(axis=1) <= r * r for u in targets])
+        expected = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, points.shape[0] + 1)
+        assert np.array_equal(expected <= points.shape[0], np.arange(400) % 2 == 0)
+        assert np.array_equal(first_hit_index(targets, points, r), expected)
+        assert np.array_equal(min_squared_distances(targets, points, engine="blas") <= r * r, hit.any(axis=1))
+
 
 class TestCubesAndBalls:
     def test_delta_cube_bounds(self):
