@@ -11,6 +11,7 @@ from cubecover import (
     TargetPrior,
     delta_sweep,
     empirical_radius_quantile,
+    radius_best_delta,
 )
 
 stream = SeededStream(2025, 3)
@@ -31,10 +32,6 @@ for d, n, deltas in ((10, 1000, (0.8, 0.9, 1.0)), (50, 10_000, (0.4, 0.5, 0.6, 1
     r_full = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, 1.0), prior, 0.1,
                                        stream.child(10 + d), n_targets=10_000, n_designs=2,
                                        threads=4)
-    best = min(
-        (empirical_radius_quantile(d, n, SamplingScheme.uniform(d, dl), prior, 0.1,
-                                   stream.child(100 + 10 * d + int(10 * dl)),
-                                   n_targets=10_000, n_designs=2, threads=4), dl)
-        for dl in deltas
-    )
-    print(f"  d={d:>2}, n={n:>6}: r(delta=1) = {r_full:.3f},  min over grid = {best[0]:.3f} at delta={best[1]}")
+    best_delta, r_best = radius_best_delta(d, n, 0.1, deltas, stream.child(100 + d),
+                                           n_targets=10_000, threads=4)
+    print(f"  d={d:>2}, n={n:>6}: r(delta=1) = {r_full:.3f},  min over grid = {r_best:.3f} at delta={best_delta}")

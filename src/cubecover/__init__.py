@@ -60,6 +60,7 @@ from .solvers import (
     empirical_radius_quantile,
     n_gamma_asymptotic,
     n_gamma_classical,
+    radius_best_delta,
     worst_case_n_mixture,
 )
 from .streams import SeededStream

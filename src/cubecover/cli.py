@@ -20,13 +20,15 @@ import numpy as np
 from . import __version__
 from .coverage import (
     CoverageQuery,
+    _averaged_estimate,
+    coverage_design_averaged,
     coverage_design_conditional,
     jensen_bound_center,
     jensen_bound_refined,
     nearest_distance_sample,
     product_form_approximation,
 )
-from .estimates import CoverageEstimate, binomial_std_error
+from .estimates import CoverageEstimate
 from .geometry import log_unit_ball_volume, min_squared_distances
 from .intersect import (
     EdgeworthConfig,
@@ -51,7 +53,7 @@ from .solvers import (
     empirical_n_gamma_best_delta,
     empirical_radius_quantile,
     n_gamma_asymptotic,
-    _radius_from_sample,
+    radius_best_delta,
 )
 from .streams import SeededStream
 
@@ -71,6 +73,8 @@ def _parse_grid(text: str) -> list[float]:
     if ranged and len(parts) != 3:
         raise CliError(f"grid {text!r} must be start:stop:step or a comma list")
     values = [float(p) for p in parts]
+    if not values:
+        raise CliError(f"grid {text!r} is empty")
     if not all(map(math.isfinite, values)):
         raise CliError(f"grid {text!r} has a non-finite value")
     if not ranged:
@@ -244,11 +248,8 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
         columns += ["jensen_center", "jensen_refined", "product_form_approx"]
     rows = []
     for r in r_values:
-        per_design = (d2 <= r * r).mean(axis=1)
-        value = float(per_design.mean())
-        se = float(per_design.std(ddof=1) / math.sqrt(len(per_design))) if len(per_design) > 1 \
-            else binomial_std_error(value, n_targets)
-        row = [r, value, se, method, _asymptotic_coverage(d, n, r)]
+        est = _averaged_estimate(d2, r)
+        row = [r, est.value, est.std_error, method, _asymptotic_coverage(d, n, r)]
         if with_bounds:
             qr = query.with_radius(r)
             row += [jensen_bound_center(qr), jensen_bound_refined(qr),
@@ -301,8 +302,8 @@ def cmd_table1(p: Params) -> tuple[list[str], list[list]]:
         r_full = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, 1.0), prior, gamma,
                                            cell_stream.child(0), n_targets=n_targets,
                                            n_designs=n_designs, threads=threads)
-        best_delta, r_best = _optimal_delta_radius(d, n, gamma, deltas, cell_stream.child(1),
-                                                   sweep_targets, threads)
+        best_delta, _ = radius_best_delta(d, n, gamma, deltas, cell_stream.child(1),
+                                          n_targets=sweep_targets, threads=threads)
         # refine the winning delta at the full budget
         r_best = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, best_delta), prior, gamma,
                                            cell_stream.child(2), n_targets=n_targets,
@@ -310,20 +311,6 @@ def cmd_table1(p: Params) -> tuple[list[str], list[list]]:
         warning = "low-budget" if gamma * n_targets < 200 else ""
         rows.append([d, n, gamma, r_full, r_best, best_delta, warning])
     return columns, rows
-
-
-def _optimal_delta_radius(d: int, n: int, gamma: float, deltas: list[float],
-                          stream: SeededStream, n_targets: int, threads: int) -> tuple[float, float]:
-    """argmin over delta of the empirical 1-gamma radius, shared targets."""
-    prior = TargetPrior.uniform(d)
-    best = (deltas[0], math.inf)
-    for j, delta in enumerate(sorted(deltas)):
-        query = CoverageQuery(d, 0.0, n, SamplingScheme.uniform(d, delta), prior)
-        d2 = nearest_distance_sample(query, 1, n_targets, stream, threads=threads)
-        r = _radius_from_sample(d2, 1.0 - gamma, d, 0.005)
-        if r <= best[1]:  # <= so ties break toward larger delta
-            best = (delta, r)
-    return best
 
 
 def cmd_ngamma(p: Params) -> tuple[list[str], list[list]]:
@@ -408,6 +395,9 @@ def cmd_sobol_compare(p: Params) -> tuple[list[str], list[list]]:
     n_designs = p.get("designs", 2, int)
     threads = p.get("threads", 1, int)
     deltas = _delta_grid(p, default_delta_grid(0.1))
+    r_flag = p.get("r", None, float)
+    if r_flag is not None and r_flag <= 0:
+        raise CliError(f"--r must be > 0, got {r_flag}")
     stream = SeededStream(seed)
     if n & (n - 1):
         print(f"[cubecover] note: n={n} is not a power of two; Sobol balance is best at n=2^m",
@@ -418,28 +408,21 @@ def cmd_sobol_compare(p: Params) -> tuple[list[str], list[list]]:
     rows = []
     for j, d in enumerate(dims):
         sub = stream.child(j)
-        r = p.get("r", None, float) or asymptotic_radius(d, n, gamma)
+        r = asymptotic_radius(d, n, gamma) if r_flag is None else r_flag
         prior = TargetPrior.uniform(d)
-        f_u = _averaged_coverage(d, n, r, 1.0, prior, sub.child(0), n_designs, n_targets, threads)
+        f_u = coverage_design_averaged(CoverageQuery.uniform(d, r, n), n_designs, n_targets,
+                                       sub.child(0), threads=threads)
         f_s = _sobol_coverage(d, n, r, 1.0, prior, sub.child(1), n_targets, threads)
         sweep = delta_sweep(d, n, r, prior, 1.0, deltas, sub.child(2),
                             n_targets=max(2000, n_targets // 4), n_designs=1, threads=threads)
         ds = sweep.best_delta
-        f_ud = _averaged_coverage(d, n, r, ds, prior, sub.child(3), n_designs, n_targets, threads)
+        f_ud = coverage_design_averaged(CoverageQuery.uniform(d, r, n, ds), n_designs, n_targets,
+                                        sub.child(3), threads=threads)
         f_sd = _sobol_coverage(d, n, r, ds, prior, sub.child(4), n_targets, threads)
         ratio = f_ud.value / f_sd.value if f_sd.value > 0 else math.inf
         rows.append([d, r, f_u.value, f_u.std_error, f_s.value, f_s.std_error,
                      ds, f_ud.value, f_sd.value, ratio])
     return columns, rows
-
-
-def _averaged_coverage(d, n, r, delta, prior, stream, n_designs, n_targets, threads) -> CoverageEstimate:
-    query = CoverageQuery(d, r, n, SamplingScheme.uniform(d, delta), prior)
-    d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
-    per = (d2 <= r * r).mean(axis=1)
-    value = float(per.mean())
-    se = float(per.std(ddof=1) / math.sqrt(n_designs)) if n_designs > 1 else binomial_std_error(value, n_targets)
-    return CoverageEstimate(value, se, n_targets, n_designs, "design_averaged")
 
 
 def _sobol_coverage(d, n, r, delta, prior, stream, n_targets, threads) -> CoverageEstimate:

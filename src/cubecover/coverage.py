@@ -91,8 +91,9 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
     """Squared nearest-design-point distances, shape (n_designs, n_targets).
 
     The whole radius dependence of design-averaged coverage lives in one
-    comparison against r^2, so solvers can draw this sample once and sweep or
-    bisect over r for free with common random numbers.
+    comparison against r^2, so solvers can draw this sample once, sweep r
+    over it with common random numbers, and read radii off it as order
+    statistics.
     """
     if n_designs < 1 or n_targets < 1:
         raise ValueError("n_designs and n_targets must be >= 1")

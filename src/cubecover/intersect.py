@@ -197,14 +197,14 @@ def _partitions(nu: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _edgeworth_cdf(t: np.ndarray, d: int, sigma: np.ndarray, cum_sums: np.ndarray, order: int) -> np.ndarray:
-    """Phi(t) + sum_{nu=1}^{order} Q_{nu,d}(t) / d^(nu/2), row-vectorized.
+def _edgeworth_cdf(t: np.ndarray, sigma: np.ndarray, cum_sums: np.ndarray, order: int) -> np.ndarray:
+    """Phi(t) + sum_{nu=1}^{order} Q_nu(t), row-vectorized.
 
-    Q_{nu,d}(t) = -phi(t) * sum over partitions (k_m) of nu of
-        He_{nu+2s-1}(t) * prod_m (1/k_m!) (lambda_{m+2,d}/(m+2)!)^{k_m},
-    lambda_{nu,d} = d^{(nu-2)/2} (sum_j gamma_{nu,j}) / sigma^nu,  s = sum_m k_m.
-    The powers of d cancel identically; they are kept as written for fidelity
-    to the expansion.
+    Q_nu(t) = -phi(t) * sum over partitions (k_m) of nu of
+        He_{nu+2s-1}(t) * prod_m (1/k_m!) (lambda_{m+2}/(m+2)!)^{k_m},
+    lambda_nu = kappa_nu / sigma^nu,  s = sum_m k_m,
+    with kappa_nu the summed cumulant of order nu.  This is the expansion in
+    powers of d^(-1/2) with the powers of d cancelled.
 
     ``cum_sums[i, k]`` is the summed cumulant of order k+1 for row i.
     """
@@ -212,8 +212,7 @@ def _edgeworth_cdf(t: np.ndarray, d: int, sigma: np.ndarray, cum_sums: np.ndarra
     if order == 0:
         return total
     phi = np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
-    lam = {nu: d ** ((nu - 2) / 2.0) * cum_sums[:, nu - 1] / sigma**nu
-           for nu in range(3, order + 3)}
+    lam = {nu: cum_sums[:, nu - 1] / sigma**nu for nu in range(3, order + 3)}
     for nu in range(1, order + 1):
         q = np.zeros_like(t)
         for ks in _partitions(nu):
@@ -223,19 +222,13 @@ def _edgeworth_cdf(t: np.ndarray, d: int, sigma: np.ndarray, cum_sums: np.ndarra
                 if k_m:
                     coeff = coeff * (lam[m + 2] / math.factorial(m + 2)) ** k_m / math.factorial(k_m)
             q += _hermite(t, nu + 2 * s - 1) * coeff
-        total = total - phi * q / d ** (nu / 2.0)
+        total = total - phi * q
     return total
 
 
 def clt_probability(U, delta: float, alpha: float, r: float) -> float:
     """Normal approximation Phi((r^2 - mu)/sigma) of P{||U - X|| <= r}."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    ms = sum_moments(U, delta, alpha, nu_max=3)
-    if ms.variance == 0.0:
-        return 1.0 if ms.mean <= r * r else 0.0
-    t = (r * r - ms.mean) / ms.std
-    return float(min(max(ndtr(t), 0.0), 1.0))
+    return float(ball_probability_batch(as_point(U)[None, :], delta, alpha, r, order=0)[0])
 
 
 def edgeworth_probability(U, delta: float, alpha: float, r: float,
@@ -245,31 +238,23 @@ def edgeworth_probability(U, delta: float, alpha: float, r: float,
     Expansions are not proper cdfs, so raw values may leave [0,1]; with
     ``config.clamp`` (the default) the output is clipped into [0,1].
     """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    ms = sum_moments(U, delta, alpha, nu_max=max(config.order + 2, 3))
-    if ms.variance == 0.0:
-        return 1.0 if ms.mean <= r * r else 0.0
-    t = np.array([(r * r - ms.mean) / ms.std])
-    sums = ms.per_coordinate_cumulants.sum(axis=0)[None, :]
-    val = float(_edgeworth_cdf(t, ms.dimension, np.array([ms.std]), sums, config.order)[0])
-    if config.clamp:
-        val = min(max(val, 0.0), 1.0)
-    return val
+    return float(ball_probability_batch(as_point(U)[None, :], delta, alpha, r,
+                                        order=config.order, clamp=config.clamp)[0])
 
 
 def ball_probability_batch(U_rows, delta: float, alpha: float, r: float,
                            order: int = 1, clamp: bool = True) -> np.ndarray:
     """CLT/Edgeworth probability for many centers at once, shape (m,)."""
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
     U = np.atleast_2d(np.asarray(U_rows, dtype=np.float64))
-    d = U.shape[1]
     cum = coordinate_cumulants(U, delta, alpha, nu_max=max(order + 2, 2)).sum(axis=1)
     mean, var = cum[:, 0], cum[:, 1]
     sigma = np.sqrt(var)
     ok = sigma > 0
     safe_sigma = np.where(ok, sigma, 1.0)
     t = (r * r - mean) / safe_sigma
-    vals = _edgeworth_cdf(t, d, safe_sigma, cum, order)
+    vals = _edgeworth_cdf(t, safe_sigma, cum, order)
     vals = np.where(ok, vals, (mean <= r * r).astype(np.float64))
     return np.clip(vals, 0.0, 1.0) if clamp else vals
 

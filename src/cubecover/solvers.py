@@ -4,9 +4,10 @@ Closed forms: the classical hitting count n_gamma, its asymptotic version
 (-ln gamma)/(eps^d V_d), the worst-case count for decaying mixture weights
 alpha_j = 1/j (returned as log10 -- the values are astronomically large), and
 the asymptotic covering radius r_{n,1-gamma}.  Monte Carlo solvers: the
-empirical radius quantile, the coverage-vs-delta sweep, and the smallest n
-reaching coverage 1-gamma, all driven by common random numbers so the curves
-being bisected are monotone.
+empirical radius quantile, the best-delta radius, the coverage-vs-delta
+sweep, and the smallest n reaching coverage 1-gamma.  Each draws its sample
+once under common random numbers, and the radius and n solvers read their
+answer off it as an exact order statistic instead of bisecting for it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
 from .estimates import CoverageEstimate
-from .geometry import first_hit_index, log_unit_ball_volume, min_squared_distances
-from .sampling import SamplingScheme, TargetPrior, draw_delta_cube, sample_design, sample_targets
+from .geometry import first_hit_index, log_unit_ball_volume
+from .sampling import SamplingScheme, TargetPrior, draw_delta_cube, sample_targets
 from .streams import SeededStream
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "empirical_radius_quantile",
     "n_gamma_asymptotic",
     "n_gamma_classical",
+    "radius_best_delta",
     "worst_case_n_mixture",
 ]
 
@@ -138,39 +140,35 @@ def empirical_radius_quantile(
     *,
     n_targets: int = 100_000,
     n_designs: int = 2,
-    r_tol: float = 0.005,
     threads: int = 1,
 ) -> float:
-    """Radius at which design-averaged coverage reaches 1 - gamma.
+    """Smallest radius at which design-averaged coverage reaches 1 - gamma.
 
-    Bisection on r over the design-averaged estimate; the nearest-distance
-    sample is drawn once, so the coverage curve is an exact empirical cdf
-    (monotone under common random numbers) and the bracket shrinks to
-    ``r_tol`` deterministically.
+    The nearest-distance sample is drawn once, so the coverage curve is the
+    empirical cdf of the pooled distances and the radius is its
+    ceil((1-gamma) N)-th order statistic, exactly.
     """
     g = _as_gamma(gamma)
     query = CoverageQuery(d, 0.0, n, scheme, prior)
     d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
-    return _radius_from_sample(d2, g.one_minus, d, r_tol)
+    return _exact_radius(d2, g)
 
 
-def _radius_from_sample(d2: np.ndarray, level: float, d: int, r_tol: float) -> float:
-    def coverage(r: float) -> float:
-        return float((d2 <= r * r).mean())
+def _coverage_order_statistic(values: np.ndarray, g: GammaLevel):
+    """Smallest v with a fraction >= 1 - gamma of ``values`` at most v."""
+    k = math.ceil(g.one_minus * values.size)
+    return np.partition(values, k - 1, axis=None)[k - 1]
 
-    lo, hi = 0.0, 1.0
-    diameter = math.sqrt(d)
-    while coverage(hi) < level:
-        hi *= 2.0
-        if hi > 2.0 * diameter:
-            raise RuntimeError("coverage level not reachable at any radius (bad sample?)")
-    while hi - lo > r_tol:
-        mid = 0.5 * (lo + hi)
-        if coverage(mid) >= level:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+
+def _exact_radius(d2: np.ndarray, g: GammaLevel) -> float:
+    """Smallest float r at which ``d2 <= r * r`` reaches coverage 1 - gamma.
+
+    sqrt(q)**2 rounds below q for about a quarter of float32-valued q, which
+    would drop q from the count; one float up restores it.
+    """
+    q = float(_coverage_order_statistic(d2, g))
+    r = math.sqrt(q)
+    return math.nextafter(r, math.inf) if r * r < q else r
 
 
 def default_delta_grid(step: float = 0.05) -> list[float]:
@@ -207,28 +205,45 @@ def delta_sweep(
     comparison between deltas is paired.  The scheme is uniform for alpha = 1
     and product-beta otherwise.
     """
-    deltas = sorted(float(x) for x in deltas)
-    if not deltas:
-        raise ValueError("delta grid is empty")
-    if any(not 0.0 < x <= 1.0 for x in deltas):
-        raise ValueError("all deltas must lie in (0, 1]")
-
-    targets = [sample_targets(prior, n_targets, stream.child(2 * k + 1)) for k in range(n_designs)]
     grid: list[tuple[float, CoverageEstimate]] = []
-    best_delta, best_cov = deltas[0], -1.0
-    for delta in deltas:
+    best_delta, best_cov = None, -1.0
+    for delta in _checked_delta_grid(deltas):
         scheme = SamplingScheme.uniform(d, delta) if alpha == 1.0 else SamplingScheme.beta(d, alpha, delta)
-        d2 = np.empty((n_designs, n_targets))
-        for k in range(n_designs):
-            # same design substream at every delta: the grid is compared
-            # on coupled draws, not refreshed ones
-            design = sample_design(scheme, n, stream.child(2 * k))
-            d2[k] = min_squared_distances(targets[k], design.points, threads=threads)
+        # the same stream at every delta: the grid is compared on coupled
+        # draws, not refreshed ones
+        query = CoverageQuery(d, r, n, scheme, prior)
+        d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
         est = _averaged_estimate(d2, r)
         grid.append((delta, est))
         if est.value >= best_cov:  # >= so ties break toward larger delta
             best_delta, best_cov = delta, est.value
     return DeltaSweepResult(grid, best_delta, best_cov)
+
+
+def _checked_delta_grid(deltas) -> list[float]:
+    grid = sorted(float(x) for x in deltas)
+    if not grid:
+        raise ValueError("delta grid is empty")
+    if any(not 0.0 < x <= 1.0 for x in grid):
+        raise ValueError("all deltas must lie in (0, 1]")
+    return grid
+
+
+def radius_best_delta(d: int, n: int, gamma, deltas, stream: SeededStream, *,
+                      n_targets: int = 20_000, threads: int = 1) -> tuple[float, float]:
+    """(delta*, radius): the delta minimizing the empirical 1-gamma radius.
+
+    One uniform design per delta, with the same stream at every delta so the
+    grid is compared on coupled draws; ties go to the larger delta.
+    """
+    g = _as_gamma(gamma)
+    best_delta, best_r = None, math.inf
+    for delta in _checked_delta_grid(deltas):
+        query = CoverageQuery.uniform(d, 0.0, n, delta)
+        r = _exact_radius(nearest_distance_sample(query, 1, n_targets, stream, threads=threads), g)
+        if r <= best_r:  # <= so ties break toward larger delta
+            best_delta, best_r = delta, r
+    return best_delta, best_r
 
 
 @dataclass(frozen=True)
@@ -268,10 +283,10 @@ def empirical_n_gamma(
 
     Uses nested prefix designs: each replicate draws one point sequence, and
     per target we record the first index whose point falls within r.  The
-    pooled (1-gamma) quantile of those first-hit indices is precisely the
-    integer the doubling-bracket bisection of the coverage curve converges
-    to, with common random numbers in n by construction.  Coverage that
-    cannot reach 1 - gamma by ``n_cap`` yields the infeasible marker.
+    coverage of an n-point prefix is the fraction of first hits <= n, so the
+    answer is the pooled ceil((1-gamma) N)-th smallest first hit, with common
+    random numbers in n by construction.  Coverage that cannot reach
+    1 - gamma by ``n_cap`` yields the infeasible marker.
     """
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r}")
@@ -286,9 +301,7 @@ def empirical_n_gamma(
         hit_chunks.append(_first_hit_growing(scheme, targets, r, g, stream.child(2 * k), n_cap, threads))
     hits = np.concatenate(hit_chunks)
 
-    # smallest n with pooled coverage >= 1-gamma: order statistic of first hits
-    k = math.ceil(g.one_minus * hits.size)
-    n_star = int(np.partition(hits, k - 1)[k - 1])
+    n_star = int(_coverage_order_statistic(hits, g))
     if n_star > n_cap:
         return NGammaResult(None, scheme.delta, "infeasible")
     return NGammaResult(n_star, scheme.delta, "ok")

@@ -28,6 +28,7 @@ from cubecover.solvers import (
     empirical_n_gamma_best_delta,
     empirical_radius_quantile,
     n_gamma_asymptotic,
+    radius_best_delta,
     worst_case_n_mixture,
 )
 from cubecover.streams import SeededStream
@@ -38,21 +39,6 @@ THREADS = 4
 def report(criterion: str, ok: bool, detail: str):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} -- {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def radius_at_best_delta(d, n, gamma, deltas, stream, sweep_targets, full_targets):
-    prior = TargetPrior.uniform(d)
-    best_delta, best_r = None, math.inf
-    for j, delta in enumerate(sorted(deltas)):
-        r = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, delta), prior, gamma,
-                                      stream.child(j), n_targets=sweep_targets, n_designs=1,
-                                      threads=THREADS)
-        if r <= best_r:
-            best_delta, best_r = delta, r
-    refined = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, best_delta), prior, gamma,
-                                        stream.child(999), n_targets=full_targets, n_designs=2,
-                                        threads=THREADS)
-    return best_delta, refined
 
 
 class TestCriterion1RadiusTable:
@@ -70,7 +56,8 @@ class TestCriterion1RadiusTable:
         r_full = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, 1.0),
                                            TargetPrior.uniform(d), 0.1, stream.child(0),
                                            n_targets=full_t, n_designs=2, threads=THREADS)
-        best_delta, _ = radius_at_best_delta(d, n, 0.1, grid, stream.child(1), sweep_t, full_t)
+        best_delta, _ = radius_best_delta(d, n, 0.1, grid, stream.child(1), n_targets=sweep_t,
+                                          threads=THREADS)
         elapsed = time.perf_counter() - started
         ok = abs(r_full - r_ref) <= r_tol and abs(best_delta - delta_ref) <= 0.1 + 1e-9 and elapsed < 300
         report("1 (radius table cell)", ok,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cubecover.cli import main
+from cubecover.solvers import radius_best_delta
+from cubecover.streams import SeededStream
 
 
 def run(tmp_path, name, *args):
@@ -95,10 +97,17 @@ class TestValidation:
                   "--scheme", "halton", "--seed", "1"])
         assert exc.value.code == 2
 
-    def test_bad_grid(self, capsys):
-        assert main(["coverage", "--dim", "3", "--n", "10", "--r-grid", "0.5:0.1:0.1",
-                     "--seed", "1"]) == 2
+    @pytest.mark.parametrize("args", [
+        ["coverage", "--dim", "3", "--n", "10", "--r-grid", "0.5:0.1:0.1"],
+        ["coverage", "--dim", "3", "--n", "10", "--r-grid", ","],
+        ["ngamma", "--dim", "10", "--r-grid", ","],
+        ["table1", "--cells", "6:200", "--delta-grid", ","],
+    ], ids=["reversed-range", "coverage-empty", "ngamma-empty", "table1-empty-delta"])
+    def test_bad_grid(self, tmp_path, capsys, args):
+        code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
+        assert code == 2
         assert "grid" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--r-grid", "0.3,nan"], ["--r-grid", "0.3:inf:0.1"],
                                        ["--r", "nan"], ["--r", "inf"]])
@@ -178,6 +187,18 @@ class TestKappaCommand:
         assert mass == pytest.approx(1.0, rel=1e-9)
 
 
+class TestTable1Command:
+    def test_delta_star_is_radius_best_delta(self, tmp_path):
+        code, out = run(tmp_path, "t.csv", "table1", "--cells", "12:300", "--targets", "2000",
+                        "--sweep-targets", "1500", "--delta-grid", "0.6,0.8,1.0", "--seed", "3")
+        assert code == 0
+        row = out.read_text().splitlines()[2].split(",")
+        # table1 sweeps cell 0 on stream child(0).child(1)
+        best_delta, _ = radius_best_delta(12, 300, 0.1, [0.6, 0.8, 1.0],
+                                          SeededStream(3).child(0).child(1), n_targets=1500)
+        assert float(row[5]) == best_delta
+
+
 class TestSobolCompareCommand:
     def test_columns_and_sanity(self, tmp_path):
         code, out = run(tmp_path, "s.csv", "sobol-compare", "--dims", "5,10", "--n", "256",
@@ -190,3 +211,11 @@ class TestSobolCompareCommand:
             vals = line.split(",")
             assert 0.0 <= float(vals[2]) <= 1.0
             assert 0.0 <= float(vals[4]) <= 1.0
+
+    @pytest.mark.parametrize("r", ["0", "-0.5"])
+    def test_nonpositive_radius_rejected(self, tmp_path, capsys, r):
+        code, out = run(tmp_path, "s.csv", "sobol-compare", "--dims", "5", "--n", "64",
+                        "--r", r, "--seed", "6")
+        assert code == 2
+        assert "--r" in capsys.readouterr().err
+        assert not out.exists()

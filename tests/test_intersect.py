@@ -14,6 +14,7 @@ from cubecover.intersect import (
     _hermite,
     _partitions,
     ball_probability,
+    ball_probability_batch,
     clt_probability,
     coordinate_cumulants,
     coordinate_moments,
@@ -221,6 +222,26 @@ class TestEdgeworth:
         base = edgeworth_probability(u, 1.0, 1.0, 0.8)
         assert edgeworth_probability(u[::-1].copy(), 1.0, 1.0, 0.8) == pytest.approx(base, rel=1e-13)
         assert edgeworth_probability(1.0 - u, 1.0, 1.0, 0.8) == pytest.approx(base, rel=1e-13)
+
+
+class TestBallProbabilityBatch:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_rows_match_scalar_routes(self, alpha):
+        # random centers plus the cube centre; radii from 0 to past the support
+        gen = np.random.default_rng(17)
+        U = np.vstack([gen.random((40, 9)), np.full((1, 9), 0.5)])
+        for r in (0.0, 0.4, 0.9, 1.3, 3.0):
+            clt = np.array([clt_probability(u, 0.7, alpha, r) for u in U])
+            assert np.array_equal(clt, ball_probability_batch(U, 0.7, alpha, r, order=0))
+            for order in (0, 1, 2):
+                for clamp in (True, False):
+                    cfg = EdgeworthConfig(order=order, clamp=clamp)
+                    scalar = np.array([edgeworth_probability(u, 0.7, alpha, r, cfg) for u in U])
+                    assert np.array_equal(scalar, ball_probability_batch(U, 0.7, alpha, r, order, clamp))
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            ball_probability_batch(np.full((2, 3), 0.5), 1.0, 1.0, -0.1)
 
 
 class TestMcOracle:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubecover.coverage import CoverageQuery, coverage_design_averaged
+from cubecover.coverage import CoverageQuery, coverage_design_averaged, nearest_distance_sample
 from cubecover.geometry import unit_ball_volume
 from cubecover.sampling import SamplingScheme, TargetPrior
 from cubecover.solvers import (
@@ -16,6 +16,7 @@ from cubecover.solvers import (
     empirical_radius_quantile,
     n_gamma_asymptotic,
     n_gamma_classical,
+    radius_best_delta,
     worst_case_n_mixture,
 )
 from cubecover.streams import SeededStream
@@ -127,11 +128,29 @@ class TestAsymptoticRadius:
 
 class TestEmpiricalRadius:
     def test_d1_large_n_near_asymptotic(self):
-        # the bracket tolerance must be well below the radius scale ~ln(10)/(2n)
+        # the radius scale here is ~ln(10)/(2n) ~ 6e-4; the order statistic
+        # resolves it exactly, with no solver tolerance on top
         r = empirical_radius_quantile(1, 2000, SamplingScheme.uniform(1), TargetPrior.uniform(1),
-                                      0.1, SeededStream(1), n_targets=100_000, n_designs=8,
-                                      r_tol=1e-6)
+                                      0.1, SeededStream(1), n_targets=100_000, n_designs=8)
         assert r == pytest.approx(asymptotic_radius(1, 2000, 0.1), rel=0.05)
+
+    # the KD-tree engine at d=3; the float32 engine at d=12, where this seed's
+    # sqrt(q) squares back below q
+    @pytest.mark.parametrize("d,n,n_designs,n_targets,seed", [(3, 40, 1, 5000, 21),
+                                                              (12, 300, 2, 3000, 26)])
+    def test_exact_order_statistic(self, d, n, n_designs, n_targets, seed):
+        scheme, prior = SamplingScheme.uniform(d), TargetPrior.uniform(d)
+        r = empirical_radius_quantile(d, n, scheme, prior, 0.1, SeededStream(seed),
+                                      n_targets=n_targets, n_designs=n_designs)
+        d2 = nearest_distance_sample(CoverageQuery(d, 0.0, n, scheme, prior), n_designs, n_targets,
+                                     SeededStream(seed))
+        q = np.sort(d2, axis=None)[math.ceil(0.9 * d2.size) - 1]
+        # sqrt(q), or one float above it where sqrt(q)**2 rounds below q
+        assert r in (math.sqrt(q), math.nextafter(math.sqrt(q), math.inf))
+        # smallest radius whose pooled design-averaged coverage reaches 0.9
+        assert (d2 <= r * r).mean() >= 0.9
+        below = np.nextafter(r, 0.0)
+        assert (d2 <= below * below).mean() < 0.9
 
     def test_matches_direct_coverage_bisection(self):
         d, n = 4, 60
@@ -191,6 +210,25 @@ class TestDeltaSweep:
         assert grid[0] == pytest.approx(0.05)
         assert grid[-1] == pytest.approx(1.0)
         assert len(grid) == 20
+
+
+class TestRadiusBestDelta:
+    def test_grid_validation(self):
+        with pytest.raises(ValueError):
+            radius_best_delta(3, 10, 0.1, [], SeededStream(8))
+        for bad in ([0.0, 0.5], [0.5, 1.2]):
+            with pytest.raises(ValueError):
+                radius_best_delta(3, 10, 0.1, bad, SeededStream(9))
+
+    def test_argmin_of_coupled_radii(self):
+        d, n, grid = 12, 500, [1.0, 0.6, 0.8]
+        best_delta, best_r = radius_best_delta(d, n, 0.1, grid, SeededStream(22), n_targets=3000)
+        radii = {delta: empirical_radius_quantile(d, n, SamplingScheme.uniform(d, delta),
+                                                  TargetPrior.uniform(d), 0.1, SeededStream(22),
+                                                  n_targets=3000, n_designs=1)
+                 for delta in grid}
+        assert best_r == min(radii.values())
+        assert best_delta == max(delta for delta, r in radii.items() if r == best_r)
 
 
 class TestEmpiricalNGamma:
