@@ -62,8 +62,23 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Validation failure; maps to exit code 2 with the field named."""
+
+
+def _number(text: str) -> float:
+    """Every float the CLI reads (radii, delta, alpha, gamma) is finite and >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise CliError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise CliError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -72,11 +87,9 @@ def _parse_grid(text: str) -> list[float]:
     parts = text.split(":") if ranged else [p for p in text.split(",") if p]
     if ranged and len(parts) != 3:
         raise CliError(f"grid {text!r} must be start:stop:step or a comma list")
-    values = [float(p) for p in parts]
-    if not values:
+    if not parts:
         raise CliError(f"grid {text!r} is empty")
-    if not all(map(math.isfinite, values)):
-        raise CliError(f"grid {text!r} has a non-finite value")
+    values = [_number(p) for p in parts]
     if not ranged:
         return values
     start, stop, step = values
@@ -86,8 +99,35 @@ def _parse_grid(text: str) -> list[float]:
     return [start + i * step for i in range(k + 1)]
 
 
-def _load_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+# Each field's one conversion from text, shared by flags and config values;
+# defaults stay at the call sites because some differ by command.
+_FIELDS = {
+    "dim": int, "dims": str, "n": int, "r": _number, "r_grid": _parse_grid,
+    "delta": _number, "delta_grid": _parse_grid, "alpha": _number, "gamma": _number,
+    "scheme": str, "prior": str, "targets": int, "inner": int, "designs": int,
+    "cells": str, "cap": int, "bins": int, "u": str, "bounds": _bool,
+    "hamming_nmax": int, "sweep_targets": int,
+    "seed": int, "threads": int, "out": str, "config": str,
+}
+_CHOICES = {"scheme": ("uniform", "beta", "sobol", "vertex"), "prior": ("uniform", "beta")}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _convert(name: str, text: str, where: str):
+    try:
+        value = _FIELDS[name](text)
+    except ValueError as exc:
+        raise CliError(f"{where}: {exc}") from exc
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise CliError(f"{where}: expected one of {'|'.join(_CHOICES[name])}, got {text!r}")
+    return value
+
+
+def _load_config(path: str) -> dict:
+    cfg = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -97,7 +137,10 @@ def _load_config(path: str) -> dict[str, str]:
                 for sep in ("=", ":"):
                     if sep in line:
                         key, val = line.split(sep, 1)
-                        cfg[key.strip().replace("-", "_")] = val.strip()
+                        key = key.strip().replace("-", "_")
+                        if key not in _FIELDS or key == "config":
+                            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+                        cfg[key] = _convert(key, val.strip(), f"{path}:{lineno}: {key}")
                         break
                 else:
                     raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
@@ -111,32 +154,19 @@ class Params:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+        self.cfg = _load_config(args.config) if args.config else {}
 
-    def get(self, name: str, default=None, kind=str):
-        value = self._lookup(name, default, kind)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise CliError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        return value
-
-    def _lookup(self, name: str, default, kind):
-        flag = getattr(self.args, name, None)
+    def get(self, name: str, default=None):
+        # no getattr default: reading a field the command does not declare fails
+        flag = getattr(self.args, name)
         if flag is not None:
-            return flag
-        if name in self.cfg:
-            raw = self.cfg[name]
-            if kind is bool or isinstance(default, bool):
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            try:
-                return kind(raw)
-            except ValueError as exc:
-                raise CliError(f"config field {name}: cannot parse {raw!r}") from exc
-        return default
+            return _convert(name, flag, _flag(name))
+        return self.cfg.get(name, default)
 
-    def require(self, name: str, kind=str):
-        val = self.get(name, None, kind)
+    def require(self, name: str):
+        val = self.get(name)
         if val is None:
-            raise CliError(f"missing required field --{name.replace('_', '-')}")
+            raise CliError(f"missing required field {_flag(name)}")
         return val
 
 
@@ -146,8 +176,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, command: str, seed: int, columns: list[str], rows: list[list]) -> None:
-    out = getattr(args, "out", None)
+def _emit(out: str | None, command: str, seed: int, columns: list[str], rows: list[list]) -> None:
     jsonl = bool(out) and out.endswith(".jsonl")
     lines: list[str]
     if jsonl:
@@ -167,46 +196,31 @@ def _emit(args, command: str, seed: int, columns: list[str], rows: list[list]) -
 
 def _scheme(p: Params, dimension: int) -> SamplingScheme:
     kind = p.get("scheme", "uniform")
-    delta = p.get("delta", 1.0, float)
-    alpha = p.get("alpha", 1.0, float)
-    try:
-        if kind == "uniform":
-            return SamplingScheme.uniform(dimension, delta)
-        if kind == "beta":
-            return SamplingScheme.beta(dimension, alpha, delta)
-        if kind == "sobol":
-            return SamplingScheme.sobol(dimension, delta)
-        if kind == "vertex":
-            return SamplingScheme.vertex(dimension)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    raise CliError(f"unknown --scheme {kind!r} (uniform|beta|sobol|vertex)")
+    delta = p.get("delta", 1.0)
+    alpha = p.get("alpha", 1.0)
+    if kind == "uniform":
+        return SamplingScheme.uniform(dimension, delta)
+    if kind == "beta":
+        return SamplingScheme.beta(dimension, alpha, delta)
+    if kind == "sobol":
+        return SamplingScheme.sobol(dimension, delta)
+    return SamplingScheme.vertex(dimension)
 
 
 def _prior(p: Params, dimension: int) -> TargetPrior:
-    kind = p.get("prior", "uniform")
-    if kind == "uniform":
-        return TargetPrior.uniform(dimension)
-    if kind == "beta":
-        return TargetPrior.product_beta(dimension, p.get("alpha", 0.5, float))
-    raise CliError(f"unknown --prior {kind!r} (uniform|beta)")
+    if p.get("prior", "uniform") == "beta":
+        return TargetPrior.product_beta(dimension, p.get("alpha", 0.5))
+    return TargetPrior.uniform(dimension)
 
 
 def _r_grid(p: Params) -> list[float]:
     grid = p.get("r_grid")
     if grid is not None:
-        return _parse_grid(grid) if isinstance(grid, str) else grid
-    r = p.get("r", None, float)
+        return grid
+    r = p.get("r")
     if r is None:
         raise CliError("missing required field --r or --r-grid")
     return [r]
-
-
-def _delta_grid(p: Params, default=None) -> list[float]:
-    grid = p.get("delta_grid")
-    if grid is None:
-        return default if default is not None else default_delta_grid()
-    return _parse_grid(grid) if isinstance(grid, str) else grid
 
 
 def _asymptotic_coverage(d: int, n: int, r: float) -> float:
@@ -221,16 +235,16 @@ def _asymptotic_coverage(d: int, n: int, r: float) -> float:
 # --------------------------------------------------------------------------
 
 def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim", int)
-    n = p.require("n", int)
-    seed = p.require("seed", int)
+    d = p.require("dim")
+    n = p.require("n")
+    seed = p.require("seed")
     r_values = _r_grid(p)
     scheme = _scheme(p, d)
     prior = _prior(p, d)
-    n_targets = p.get("targets", 20_000, int)
-    n_designs = p.get("designs", 2, int)
-    threads = p.get("threads", 1, int)
-    with_bounds = p.get("bounds", False, bool)
+    n_targets = p.get("targets", 20_000)
+    n_designs = p.get("designs", 2)
+    threads = p.get("threads", 1)
+    with_bounds = p.get("bounds", False)
     stream = SeededStream(seed)
 
     query = CoverageQuery(d, max(r_values), n, scheme, prior)
@@ -259,31 +273,31 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
 
 
 def cmd_radius(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim", int)
-    n = p.require("n", int)
-    seed = p.require("seed", int)
-    gamma = p.get("gamma", 0.1, float)
+    d = p.require("dim")
+    n = p.require("n")
+    seed = p.require("seed")
+    gamma = p.get("gamma", 0.1)
     scheme = _scheme(p, d)
     prior = _prior(p, d)
     r_emp = empirical_radius_quantile(
         d, n, scheme, prior, gamma, SeededStream(seed),
-        n_targets=p.get("targets", 20_000, int),
-        n_designs=p.get("designs", 2, int),
-        threads=p.get("threads", 1, int),
+        n_targets=p.get("targets", 20_000),
+        n_designs=p.get("designs", 2),
+        threads=p.get("threads", 1),
     )
     return (["d", "n", "gamma", "r_empirical", "r_asymptotic"],
             [[d, n, gamma, r_emp, asymptotic_radius(d, n, gamma)]])
 
 
 def cmd_table1(p: Params) -> tuple[list[str], list[list]]:
-    seed = p.require("seed", int)
-    gamma = p.get("gamma", 0.1, float)
+    seed = p.require("seed")
+    gamma = p.get("gamma", 0.1)
     cells_text = p.get("cells", "10:1000,20:10000,50:100000")
-    threads = p.get("threads", 1, int)
-    n_targets = p.get("targets", 20_000, int)
-    n_designs = p.get("designs", 2, int)
-    sweep_targets = p.get("sweep_targets", max(2000, n_targets // 4), int)
-    deltas = _delta_grid(p, default_delta_grid(0.05))
+    threads = p.get("threads", 1)
+    n_targets = p.get("targets", 20_000)
+    n_designs = p.get("designs", 2)
+    sweep_targets = p.get("sweep_targets", max(2000, n_targets // 4))
+    deltas = p.get("delta_grid", default_delta_grid(0.05))
     stream = SeededStream(seed)
 
     cells = []
@@ -314,19 +328,18 @@ def cmd_table1(p: Params) -> tuple[list[str], list[list]]:
 
 
 def cmd_ngamma(p: Params) -> tuple[list[str], list[list]]:
-    d = p.get("dim", 20, int)
-    seed = p.require("seed", int)
-    gamma = p.get("gamma", 0.1, float)
-    default_grid = "0.9:1.15:0.05" if d == 20 else ("2.0:2.3:0.05" if d == 50 else None)
-    grid_text = p.get("r_grid", default_grid)
-    if grid_text is None:
+    d = p.get("dim", 20)
+    seed = p.require("seed")
+    gamma = p.get("gamma", 0.1)
+    default_grid = {20: _parse_grid("0.9:1.15:0.05"), 50: _parse_grid("2.0:2.3:0.05")}.get(d)
+    r_values = p.get("r_grid", default_grid)
+    if r_values is None:
         raise CliError("missing required field --r-grid (no default for this --dim)")
-    r_values = _parse_grid(grid_text) if isinstance(grid_text, str) else grid_text
-    deltas = _delta_grid(p)
-    n_targets = p.get("targets", 10_000, int)
-    n_designs = p.get("designs", 2, int)
-    n_cap = p.get("cap", 2**22, int)
-    threads = p.get("threads", 1, int)
+    deltas = p.get("delta_grid", default_delta_grid(0.05))
+    n_targets = p.get("targets", 10_000)
+    n_designs = p.get("designs", 2)
+    n_cap = p.get("cap", 2**22)
+    threads = p.get("threads", 1)
     stream = SeededStream(seed)
 
     columns = ["r", "n_full_cube", "n_delta_cube", "delta_star", "n_asym"]
@@ -346,19 +359,18 @@ def cmd_ngamma(p: Params) -> tuple[list[str], list[list]]:
 
 
 def cmd_intersect(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim", int)
-    seed = p.require("seed", int)
-    u_text = str(p.get("u", "0.5"))
-    u_vals = [float(tok) for tok in u_text.split(",")]
+    d = p.require("dim")
+    seed = p.require("seed")
+    u_vals = [float(tok) for tok in p.get("u", "0.5").split(",")]
     if len(u_vals) == 1:
         u = np.full(d, u_vals[0])
     elif len(u_vals) == d:
         u = np.array(u_vals)
     else:
         raise CliError(f"--u must be a scalar or {d} comma-separated coordinates")
-    delta = p.get("delta", 1.0, float)
-    alpha = p.get("alpha", 1.0, float)
-    inner = p.get("inner", 100_000, int)
+    delta = p.get("delta", 1.0)
+    alpha = p.get("alpha", 1.0)
+    inner = p.get("inner", 100_000)
     stream = SeededStream(seed)
 
     columns = ["r", "mc_oracle", "mc_std_error", "clt", "edgeworth1", "err_clt", "err_edgeworth1"]
@@ -373,13 +385,13 @@ def cmd_intersect(p: Params) -> tuple[list[str], list[list]]:
 
 
 def cmd_kappa(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim", int)
-    seed = p.require("seed", int)
-    r = p.require("r", float)
-    delta = p.get("delta", 1.0, float)
-    n_outer = p.get("targets", 2000, int)
-    n_inner = p.get("inner", 2000, int)
-    bins = p.get("bins", 50, int)
+    d = p.require("dim")
+    seed = p.require("seed")
+    r = p.require("r")
+    delta = p.get("delta", 1.0)
+    n_outer = p.get("targets", 2000)
+    n_inner = p.get("inner", 2000)
+    bins = p.get("bins", 50)
     sample = kappa_density_sample(d, r, delta, n_outer, n_inner, SeededStream(seed))
     hist, edges = np.histogram(sample, bins=bins, range=(0.0, max(1.0, float(sample.max()))), density=True)
     rows = [[float(edges[i]), float(edges[i + 1]), float(hist[i])] for i in range(len(hist))]
@@ -387,15 +399,15 @@ def cmd_kappa(p: Params) -> tuple[list[str], list[list]]:
 
 
 def cmd_sobol_compare(p: Params) -> tuple[list[str], list[list]]:
-    seed = p.require("seed", int)
-    n = p.get("n", 1024, int)
-    gamma = p.get("gamma", 0.1, float)
-    dims = [int(t) for t in str(p.get("dims", "5,10,15,20")).split(",")]
-    n_targets = p.get("targets", 20_000, int)
-    n_designs = p.get("designs", 2, int)
-    threads = p.get("threads", 1, int)
-    deltas = _delta_grid(p, default_delta_grid(0.1))
-    r_flag = p.get("r", None, float)
+    seed = p.require("seed")
+    n = p.get("n", 1024)
+    gamma = p.get("gamma", 0.1)
+    dims = [int(t) for t in p.get("dims", "5,10,15,20").split(",")]
+    n_targets = p.get("targets", 20_000)
+    n_designs = p.get("designs", 2)
+    threads = p.get("threads", 1)
+    deltas = p.get("delta_grid", default_delta_grid(0.1))
+    r_flag = p.get("r")
     if r_flag is not None and r_flag <= 0:
         raise CliError(f"--r must be > 0, got {r_flag}")
     stream = SeededStream(seed)
@@ -432,15 +444,16 @@ def _sobol_coverage(d, n, r, delta, prior, stream, n_targets, threads) -> Covera
 
 
 def cmd_delta_sweep(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim", int)
-    n = p.require("n", int)
-    r = p.require("r", float)
-    seed = p.require("seed", int)
+    d = p.require("dim")
+    n = p.require("n")
+    r = p.require("r")
+    seed = p.require("seed")
     res = delta_sweep(
-        d, n, r, _prior(p, d), p.get("alpha", 1.0, float), _delta_grid(p), SeededStream(seed),
-        n_targets=p.get("targets", 20_000, int),
-        n_designs=p.get("designs", 1, int),
-        threads=p.get("threads", 1, int),
+        d, n, r, _prior(p, d), p.get("alpha", 1.0), p.get("delta_grid", default_delta_grid(0.05)),
+        SeededStream(seed),
+        n_targets=p.get("targets", 20_000),
+        n_designs=p.get("designs", 1),
+        threads=p.get("threads", 1),
     )
     rows = [[delta, est.value, est.std_error, int(delta == res.best_delta)]
             for delta, est in res.grid]
@@ -448,13 +461,14 @@ def cmd_delta_sweep(p: Params) -> tuple[list[str], list[list]]:
 
 
 def cmd_design(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim", int)
-    n = p.require("n", int)
-    seed = p.require("seed", int)
+    d = p.require("dim")
+    n = p.require("n")
+    seed = p.require("seed")
     scheme = _scheme(p, d)
     stream = SeededStream(seed)
-    if scheme.kind is SchemeKind.VERTEX_DESIGN and p.get("hamming_nmax", None, int):
-        design = min_hamming_vertex_design(d, p.get("hamming_nmax", None, int), stream)
+    hamming_nmax = p.get("hamming_nmax")
+    if scheme.kind is SchemeKind.VERTEX_DESIGN and hamming_nmax:
+        design = min_hamming_vertex_design(d, hamming_nmax, stream)
         if design.shortfall:
             print(f"[cubecover] hamming design shortfall: only {design.n} points found", file=sys.stderr)
     else:
@@ -463,16 +477,22 @@ def cmd_design(p: Params) -> tuple[list[str], list[list]]:
     return columns, [list(map(float, row)) for row in design.points]
 
 
-_COMMANDS = {
-    "coverage": cmd_coverage,
-    "table1": cmd_table1,
-    "ngamma": cmd_ngamma,
-    "intersect": cmd_intersect,
-    "kappa": cmd_kappa,
-    "sobol-compare": cmd_sobol_compare,
-    "delta-sweep": cmd_delta_sweep,
-    "radius": cmd_radius,
-    "design": cmd_design,
+_SCHEME = ("scheme", "delta", "alpha")
+_COMMANDS = {  # command: (function, the fields it reads besides seed, threads, out, config)
+    "coverage": (cmd_coverage, ("dim", "n", "r", "r_grid", *_SCHEME, "prior", "targets",
+                                "designs", "bounds")),
+    "table1": (cmd_table1, ("gamma", "cells", "targets", "designs", "sweep_targets",
+                            "delta_grid")),
+    "ngamma": (cmd_ngamma, ("dim", "gamma", "r_grid", "delta_grid", "targets", "designs",
+                            "cap")),
+    "intersect": (cmd_intersect, ("dim", "u", "delta", "alpha", "inner", "r", "r_grid")),
+    "kappa": (cmd_kappa, ("dim", "r", "delta", "targets", "inner", "bins")),
+    "sobol-compare": (cmd_sobol_compare, ("n", "gamma", "dims", "targets", "designs",
+                                          "delta_grid", "r")),
+    "delta-sweep": (cmd_delta_sweep, ("dim", "n", "r", "prior", "alpha", "delta_grid",
+                                      "targets", "designs")),
+    "radius": (cmd_radius, ("dim", "n", "gamma", *_SCHEME, "prior", "targets", "designs")),
+    "design": (cmd_design, ("dim", "n", *_SCHEME, "hamming_nmax")),
 }
 
 
@@ -480,54 +500,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cubecover",
                                      description="Weak-covering experiments on [0,1]^d")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--dim", type=int)
-        sp.add_argument("--dims", type=str, help="comma list (sobol-compare)")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--r", type=float)
-        sp.add_argument("--r-grid", dest="r_grid", type=str)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--delta-grid", dest="delta_grid", type=str)
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--scheme", type=str, choices=["uniform", "beta", "sobol", "vertex"])
-        sp.add_argument("--prior", type=str, choices=["uniform", "beta"])
-        sp.add_argument("--targets", type=int)
-        sp.add_argument("--inner", type=int)
-        sp.add_argument("--designs", type=int)
-        sp.add_argument("--cells", type=str, help="d:n list (table1)")
-        sp.add_argument("--cap", type=int, help="largest n searched (ngamma)")
-        sp.add_argument("--bins", type=int)
-        sp.add_argument("--u", type=str, help="ball center: scalar or comma vector (intersect)")
-        sp.add_argument("--bounds", action="store_const", const=True, default=None,
-                        help="add Jensen bound columns (coverage)")
-        sp.add_argument("--hamming-nmax", dest="hamming_nmax", type=int)
-        sp.add_argument("--sweep-targets", dest="sweep_targets", type=int)
-        sp.add_argument("--seed", type=int, help="master seed (required; no wall-clock default)")
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--out", type=str)
-        sp.add_argument("--config", type=str)
+    for command, (_, fields) in _COMMANDS.items():
+        # no abbreviations: ngamma --r must not become --r-grid
+        sp = sub.add_parser(command, allow_abbrev=False)
+        for name in (*fields, "seed", "threads", "out", "config"):
+            if _FIELDS[name] is _bool:
+                sp.add_argument(_flag(name), dest=name, action="store_const", const="1")
+            else:
+                sp.add_argument(_flag(name), dest=name, choices=_CHOICES.get(name))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    params = Params(args)
     started = time.perf_counter()
     try:
-        columns, rows = _COMMANDS[args.command](params)
-        seed = params.require("seed", int)
-    except CliError as exc:
-        print(f"cubecover {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        params = Params(args)
+        columns, rows = _COMMANDS[args.command][0](params)
+        seed = params.require("seed")
+        out = params.get("out")
     except ValueError as exc:
         print(f"cubecover {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FloatingPointError, OverflowError, RuntimeError) as exc:
         print(f"cubecover {args.command}: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(args, args.command, seed, columns, rows)
+    _emit(out, args.command, seed, columns, rows)
     print(f"[cubecover] {args.command} finished in {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return EXIT_OK
 

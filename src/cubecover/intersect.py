@@ -125,7 +125,6 @@ class MomentSet:
 
     mean: float
     variance: float
-    third_central: float
     per_coordinate_cumulants: np.ndarray  # shape (d, nu_max), order nu = column + 1
 
     @property
@@ -153,9 +152,9 @@ def sum_moments(U, delta: float, alpha: float = 1.0, nu_max: int = 4) -> MomentS
     mean = ||U - (1/2,...,1/2)||^2 + d * delta^2 / 12.
     """
     u = as_point(U)
-    cum = coordinate_cumulants(u, delta, alpha, max(nu_max, 3))
+    cum = coordinate_cumulants(u, delta, alpha, max(nu_max, 2))
     sums = cum.sum(axis=0)
-    return MomentSet(float(sums[0]), float(sums[1]), float(sums[2]), cum)
+    return MomentSet(float(sums[0]), float(sums[1]), cum)
 
 
 @dataclass(frozen=True)

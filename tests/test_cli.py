@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cubecover.cli import main
+from cubecover.cli import _COMMANDS, _FIELDS, _build_parser, main
 from cubecover.solvers import radius_best_delta
 from cubecover.streams import SeededStream
 
@@ -68,6 +70,8 @@ class TestDeterminism:
         ("radius", "--dim", "4", "--n", "100", "--targets", "4000"),
         ("intersect", "--dim", "6", "--u", "0.5", "--r-grid", "0.5,0.7", "--inner", "20000"),
         ("design", "--scheme", "vertex", "--dim", "12", "--n", "9"),
+        ("delta-sweep", "--dim", "4", "--n", "50", "--r", "0.5", "--delta-grid", "0.5,1",
+         "--targets", "2000"),
     ])
     def test_byte_identical_across_threads(self, tmp_path, args):
         code1, out1 = run(tmp_path, "a.csv", *args, "--seed", "42", "--threads", "1")
@@ -110,7 +114,8 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--r-grid", "0.3,nan"], ["--r-grid", "0.3:inf:0.1"],
-                                       ["--r", "nan"], ["--r", "inf"]])
+                                       ["--r", "nan"], ["--r", "inf"],
+                                       ["--r-grid=-0.5,0.3"], ["--r=-0.5"]])
     def test_non_finite_radius_rejected(self, tmp_path, capsys, flags):
         code, out = run(tmp_path, "o.csv", "coverage", "--dim", "3", "--n", "10", *flags, "--seed", "1")
         assert code == 2
@@ -122,6 +127,50 @@ class TestValidation:
         assert main(["kappa", "--dim", "200", "--r", "0.01", "--targets", "2",
                      "--inner", "10", "--seed", "1"]) == 3
         assert "numeric" in capsys.readouterr().err
+
+
+# (command, flag) pairs each subparser accepts, seed/threads/out/config included
+ACCEPTED_FLAGS = {"coverage": 15, "radius": 13, "delta-sweep": 12, "ngamma": 11,
+                  "intersect": 11, "sobol-compare": 11, "table1": 10, "kappa": 10, "design": 10}
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("command", sorted(ACCEPTED_FLAGS))
+    def test_only_declared_fields_parse(self, command, capsys):
+        parser = _build_parser()
+        accepted = []
+        for name in _FIELDS:
+            flag = "--" + name.replace("_", "-")
+            argv = [command, flag] if name == "bounds" else [command, flag, "uniform"]
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                assert "unrecognized arguments: " + flag in capsys.readouterr().err
+            else:
+                assert getattr(args, name) is not None
+                accepted.append(name)
+        assert set(accepted) == {*_COMMANDS[command][1], "seed", "threads", "out", "config"}
+        assert len(accepted) == ACCEPTED_FLAGS[command]
+
+    @pytest.mark.parametrize("argv, flag", [(["radius", "--bounds"], "--bounds"),
+                                            (["radius", "--r-grid", "0.5"], "--r-grid"),
+                                            (["ngamma", "--dim", "10", "--r", "0.55"], "--r")],
+                             ids=["radius-bounds", "radius-r-grid", "ngamma-abbrev"])
+    def test_undeclared_flag_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_readme_examples_parse(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = [line.split("#", 1)[0] for line in readme.read_text().splitlines()
+                 if line.startswith("cubecover ")]
+        assert len(lines) >= len(_COMMANDS)
+        for line in lines:
+            args = _build_parser().parse_args(shlex.split(line)[1:])
+            assert args.command in _COMMANDS
 
 
 class TestConfigFile:
@@ -137,6 +186,36 @@ class TestConfigFile:
                           "--dim", "3", "--seed", "9")
         assert code2 == 0
         assert out2.read_text().splitlines()[2].split(",")[0] == "3"
+
+    @pytest.mark.parametrize("text, field", [("n_targes = 5\n", "n_targes"),
+                                              ("bounds = maybe\n", "bounds"),
+                                              ("dim = 4\nn 10\n", "n 10"),
+                                              ("r_grid = 0.3,-1\n", "r_grid"),
+                                              ("scheme = halton\n", "scheme"),
+                                              ("config = other.cfg\n", "config")])
+    def test_bad_config_exits_2(self, tmp_path, capsys, text, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out = run(tmp_path, "c.csv", "coverage", "--config", str(cfg), "--dim", "3",
+                        "--n", "10", "--r", "0.3", "--targets", "500", "--seed", "1")
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "c.csv", "radius", "--config", str(tmp_path / "none.cfg"),
+                      "--dim", "3", "--n", "10", "--seed", "1")
+        assert code == 2
+        assert "none.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word, columns", [("yes", 8), ("off", 5)])
+    def test_config_bool_and_out(self, tmp_path, word, columns):
+        out = tmp_path / "from_cfg.csv"
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"bounds = {word}\nout = {out}\n")
+        assert main(["coverage", "--config", str(cfg), "--dim", "3", "--n", "10",
+                     "--r", "0.3", "--targets", "500", "--designs", "1", "--seed", "1"]) == 0
+        assert len(out.read_text().splitlines()[1].split(",")) == columns
 
 
 class TestNgammaCommand:

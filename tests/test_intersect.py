@@ -129,10 +129,6 @@ class TestSumMoments:
         ms = sum_moments(np.array([0.5]), 1.0, alpha=0.5)
         assert ms.mean == pytest.approx(1.0 / 8.0, rel=1e-10)
 
-    def test_third_cumulant_equals_third_central(self):
-        ms = sum_moments(np.array([0.3, 0.8]), 0.9)
-        assert ms.third_central == pytest.approx(ms.summed_cumulant(3), rel=1e-14)
-
 
 class TestPartitionsAndHermite:
     def test_partition_counts_match_partition_function(self):
