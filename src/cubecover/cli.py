@@ -74,6 +74,21 @@ def _number(text: str) -> float:
     return value
 
 
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise CliError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
 def _bool(text: str) -> bool:
     word = text.lower()
     if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
@@ -102,12 +117,12 @@ def _parse_grid(text: str) -> list[float]:
 # Each field's one conversion from text, shared by flags and config values;
 # defaults stay at the call sites because some differ by command.
 _FIELDS = {
-    "dim": int, "dims": str, "n": int, "r": _number, "r_grid": _parse_grid,
+    "dim": int, "dims": _int_list, "n": int, "r": _number, "r_grid": _parse_grid,
     "delta": _number, "delta_grid": _parse_grid, "alpha": _number, "gamma": _number,
     "scheme": str, "prior": str, "targets": int, "inner": int, "designs": int,
-    "cells": str, "cap": int, "bins": int, "u": str, "bounds": _bool,
+    "cells": str, "cap": int, "bins": int, "u": _float_list, "bounds": _bool,
     "hamming_nmax": int, "sweep_targets": int,
-    "seed": int, "threads": int, "out": str, "config": str,
+    "seed": int, "threads": _threads, "out": str, "config": str,
 }
 _CHOICES = {"scheme": ("uniform", "beta", "sobol", "vertex"), "prior": ("uniform", "beta")}
 
@@ -361,7 +376,7 @@ def cmd_ngamma(p: Params) -> tuple[list[str], list[list]]:
 def cmd_intersect(p: Params) -> tuple[list[str], list[list]]:
     d = p.require("dim")
     seed = p.require("seed")
-    u_vals = [float(tok) for tok in p.get("u", "0.5").split(",")]
+    u_vals = p.get("u", [0.5])
     if len(u_vals) == 1:
         u = np.full(d, u_vals[0])
     elif len(u_vals) == d:
@@ -402,7 +417,7 @@ def cmd_sobol_compare(p: Params) -> tuple[list[str], list[list]]:
     seed = p.require("seed")
     n = p.get("n", 1024)
     gamma = p.get("gamma", 0.1)
-    dims = [int(t) for t in p.get("dims", "5,10,15,20").split(",")]
+    dims = p.get("dims", [5, 10, 15, 20])
     n_targets = p.get("targets", 20_000)
     n_designs = p.get("designs", 2)
     threads = p.get("threads", 1)

@@ -6,12 +6,13 @@ squared internally; square roots are taken only where an API returns a radius.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Ball",
@@ -28,6 +29,18 @@ __all__ = [
 # Nearest-distance engine switches from a KD-tree to blocked BLAS products
 # above this dimension (KD-trees degrade to brute force in high d).
 _KDTREE_MAX_DIM = 10
+
+
+def __getattr__(name: str):
+    # Only the KD-tree engine needs scipy.spatial, which is slow to import, so
+    # its class is imported on first use and cached as the module global
+    # ``cKDTree``; the KD-tree engine calls whatever that name is bound to.
+    if name != "cKDTree":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.spatial import cKDTree
+
+    globals()["cKDTree"] = cKDTree
+    return cKDTree
 
 
 def log_unit_ball_volume(d: int) -> float:
@@ -139,18 +152,29 @@ def _map_chunks(fn, n_items: int, chunk: int, threads: int) -> list:
     spans = [(i, min(i + chunk, n_items)) for i in range(0, n_items, chunk)]
     if threads <= 1 or len(spans) == 1:
         return [fn(a, b) for a, b in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: fn(*s), spans))
+    return list(_pool(threads).map(lambda s: fn(*s), spans))
+
+
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """One long-lived pool per worker count.
+
+    A fresh pool per call would start new threads each time, and glibc gives
+    new threads new malloc arenas, each of which keeps a freed tile resident.
+    """
+    return ThreadPoolExecutor(max_workers=threads)
 
 
 class _CentredExpansion:
     """Blocked float32 evaluation of ||u - x||^2 around the cube's centre.
 
     With u' = u - 1/2 and x' = x - 1/2 the squared distance expands as
-    ||u'||^2 + (||x'||^2 - 2 u'.x').  Each tile is the bracket for a block of
-    targets against ``point_chunk`` points: one GEMM against the points with
-    the -2 folded in, plus ||x'||^2 added in place, so a tile costs a single
-    float32 temporary.  Callers add ||u'||^2 after reducing over the points.
+    ||u'||^2 + (||x'||^2 - 2 u'.x').  The points are stored once as the
+    augmented rows [-2 x', ||x'||^2] and a block of targets as [u', 1], so each
+    tile, the bracket for the block against ``point_chunk`` points, is a single
+    float32 GEMM with no further pass over it.  Callers add ||u'||^2 after
+    reducing over the points.  Tiles of one call may be computed in the shared
+    worker pool of ``_map_chunks``.
 
     Centring halves each coordinate's magnitude, and the rounding error of the
     expansion is of order eps32 * d * (||u'||^2 + ||x'||^2) (Higham, Accuracy
@@ -159,23 +183,33 @@ class _CentredExpansion:
     """
 
     def __init__(self, points: np.ndarray, point_chunk: int):
-        self.pm2, self.pnorm = self.centre(points)
-        self.pm2 *= np.float32(-2.0)
+        self.pa, x = self.centre(points)
+        self.pa[:, -1] = np.einsum("ij,ij->i", x, x)
+        x *= np.float32(-2.0)
         self.n = points.shape[0]
         self.point_chunk = point_chunk
 
     @staticmethod
     def centre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``x - 1/2`` as contiguous float32, with its squared row norms."""
-        c = np.ascontiguousarray(x - 0.5, dtype=np.float32)
-        return c, np.einsum("ij,ij->i", c, c)
+        """float32 rows ``[x - 1/2, 1]``, with a view of their centred part.
+
+        The subtraction runs in float64 and is rounded once into the float32
+        buffer, without a float64 temporary of the whole block.
+        """
+        aug = np.empty((x.shape[0], x.shape[1] + 1), dtype=np.float32)
+        aug[:, -1] = 1.0
+        c = aug[:, :-1]
+        np.subtract(x, 0.5, out=c, casting="unsafe")
+        return aug, c
+
+    def targets(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Augmented centred targets ``[u - 1/2, 1]`` and their ||u'||^2."""
+        t, c = self.centre(u)
+        return t, np.einsum("ij,ij->i", c, c)
 
     def tile(self, t: np.ndarray, j: int) -> np.ndarray:
-        """||x'||^2 - 2 u'.x' for centred targets ``t`` and the chunk at point ``j``."""
-        chunk = slice(j, j + self.point_chunk)
-        out = t @ self.pm2[chunk].T
-        out += self.pnorm[chunk]
-        return out
+        """||x'||^2 - 2 u'.x' for augmented targets ``t`` and the chunk at point ``j``."""
+        return t @ self.pa[j:j + self.point_chunk].T
 
 
 def min_squared_distances(
@@ -215,7 +249,8 @@ def min_squared_distances(
         engine = "kdtree" if P.shape[1] <= _KDTREE_MAX_DIM and P.shape[0] >= 32 else "blas"
 
     if engine == "kdtree":
-        dist, _ = cKDTree(P).query(T, k=1, workers=max(threads, 1))
+        tree = sys.modules[__name__].cKDTree(P)  # resolved now: see __getattr__
+        dist, _ = tree.query(T, k=1, workers=max(threads, 1))
         return np.asarray(dist, dtype=np.float64) ** 2
     if engine != "blas":
         raise ValueError(f"unknown engine {engine!r}")
@@ -223,7 +258,7 @@ def min_squared_distances(
     ex = _CentredExpansion(P, point_chunk)
 
     def block(a: int, b: int) -> np.ndarray:
-        t, tnorm = ex.centre(T[a:b])
+        t, tnorm = ex.targets(T[a:b])
         best = np.full(b - a, np.inf, dtype=np.float32)
         for j in range(0, ex.n, point_chunk):
             np.minimum(best, ex.tile(t, j).min(axis=1), out=best)
@@ -260,7 +295,7 @@ def first_hit_index(
     r2 = np.float32(float(radius) ** 2)
 
     def block(a: int, b: int) -> np.ndarray:
-        t, tnorm = ex.centre(T[a:b])
+        t, tnorm = ex.targets(T[a:b])
         slack = r2 - tnorm  # hit iff ||x'||^2 - 2 u'.x' <= r^2 - ||u'||^2
         hit = np.full(b - a, ex.n + 1, dtype=np.int64)
         active = np.arange(b - a)

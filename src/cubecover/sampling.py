@@ -160,9 +160,14 @@ def draw_delta_cube(gen: np.random.Generator, n: int, dimension: int, delta: flo
 
     A Beta(alpha, alpha) variable mapped affinely onto C_delta has exactly
     that density; alpha = 1 degenerates to the uniform draw on C_delta.
+    The map 0.5 + delta * (x - 0.5) runs in place on the fresh draw, with the
+    same three roundings as the out-of-place expression.
     """
-    base = beta_quantile(alpha, gen.random((n, dimension)))
-    return 0.5 + delta * (base - 0.5)
+    x = beta_quantile(alpha, gen.random((n, dimension)))
+    x -= 0.5
+    x *= delta
+    x += 0.5
+    return x
 
 
 def _vertex_masks(gen: np.random.Generator, dimension: int, count: int) -> list[int]:

@@ -122,6 +122,34 @@ class TestValidation:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        code, out = run(tmp_path, "o.csv", "coverage", "--dim", "3", "--n", "10", "--r", "0.3",
+                        "--targets", "100", "--threads", threads, "--seed", "1")
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, flag", [
+        (["sobol-compare", "--dims", "5,x"], "--dims"),
+        (["sobol-compare", "--dims", "5,,10"], "--dims"),
+        (["intersect", "--dim", "3", "--u", "0.5,x", "--r", "0.3"], "--u"),
+    ])
+    def test_bad_list_field_named(self, tmp_path, capsys, args, flag):
+        code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_list_fields_from_config(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("u = 0.2,0.5,0.9\n")
+        base = ["intersect", "--dim", "3", "--r", "0.7", "--inner", "2000", "--seed", "2"]
+        code_cfg, via_cfg = run(tmp_path, "a.csv", *base, "--config", str(cfg))
+        code_flag, via_flag = run(tmp_path, "b.csv", *base, "--u", "0.2,0.5,0.9")
+        assert code_cfg == code_flag == 0
+        assert via_cfg.read_bytes() == via_flag.read_bytes()
+
     def test_numeric_error_exit_code(self, capsys):
         # kappa normalization r^d V_d underflows at d=200, r=0.01
         assert main(["kappa", "--dim", "200", "--r", "0.01", "--targets", "2",

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubecover.geometry as geometry_module
 from cubecover.geometry import (
     Ball,
     DeltaCube,
@@ -190,6 +196,64 @@ class TestNearestDistanceEngines:
         assert np.array_equal(expected <= points.shape[0], np.arange(400) % 2 == 0)
         assert np.array_equal(first_hit_index(targets, points, r), expected)
         assert np.array_equal(min_squared_distances(targets, points, engine="blas") <= r * r, hit.any(axis=1))
+
+    @pytest.mark.parametrize("d, seed", [(10, 14), (20, 15)])
+    def test_blas_error_within_float32_bound(self, d, seed):
+        rng = np.random.default_rng(seed)
+        targets = rng.random((300, d))
+        points = rng.random((5000, d))
+        got = min_squared_distances(targets, points, engine="blas")
+        exact = np.array([np.min(((points - u) ** 2).sum(axis=1)) for u in targets])
+        spread = ((targets - 0.5) ** 2).sum(axis=1) + ((points - 0.5) ** 2).sum(axis=1).max()
+        bound = np.finfo(np.float32).eps * d * spread
+        assert np.all(np.abs(got - exact) <= bound)
+
+    def test_thread_counts_mixed_in_one_process(self):
+        # worker pools outlive a call, so interleave counts and reuse each pool
+        rng = np.random.default_rng(16)
+        targets = rng.random((2500, 30))
+        points = rng.random((1500, 30))
+        kwargs = dict(target_chunk=256, point_chunk=512)
+        d2 = min_squared_distances(targets, points, threads=1, **kwargs)
+        hit = first_hit_index(targets, points, 1.2, threads=1, **kwargs)
+        assert 0 < np.count_nonzero(hit <= 1500) < 2500
+        for threads in (2, 4, 1, 4, 2):
+            assert np.array_equal(min_squared_distances(targets, points, threads=threads, **kwargs), d2)
+            assert np.array_equal(first_hit_index(targets, points, 1.2, threads=threads, **kwargs), hit)
+
+    def test_cli_import_defers_scipy_spatial(self):
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import cubecover.cli
+            from cubecover import geometry
+            assert "scipy.spatial" not in sys.modules
+            rng = np.random.default_rng(0)
+            t, p = rng.random((50, 3)), rng.random((40, 3))
+            got = geometry.min_squared_distances(t, p, engine="kdtree")
+            assert "scipy.spatial" in sys.modules
+            assert geometry.cKDTree is sys.modules["scipy.spatial"].cKDTree
+            exact = ((t[:, None, :] - p[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+            assert np.allclose(got, exact, rtol=1e-12, atol=1e-15)
+        """)
+        src = str(Path(geometry_module.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_kdtree_engine_calls_rebound_name(self, monkeypatch):
+        calls = []
+        real = geometry_module.cKDTree
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry_module, "cKDTree", counting)
+        rng = np.random.default_rng(17)
+        min_squared_distances(rng.random((20, 4)), rng.random((64, 4)), engine="kdtree")
+        assert calls == [1]
 
 
 class TestCubesAndBalls:

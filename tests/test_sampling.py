@@ -10,6 +10,8 @@ from cubecover.sampling import (
     SamplingScheme,
     SchemeKind,
     TargetPrior,
+    beta_quantile,
+    draw_delta_cube,
     hamming_threshold,
     min_hamming_vertex_design,
     sample_design,
@@ -80,6 +82,13 @@ class TestBetaScheme:
             SamplingScheme.beta(2, 0.0, 1.0)
         with pytest.raises(ValueError):
             SamplingScheme.beta(2, -1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("delta", [0.3, 1.0])
+    def test_draw_is_bitwise_the_affine_map(self, delta, alpha):
+        got = draw_delta_cube(np.random.default_rng(9), 3000, 7, delta, alpha)
+        u = beta_quantile(alpha, np.random.default_rng(9).random((3000, 7)))
+        assert np.array_equal(got, 0.5 + delta * (u - 0.5))
 
 
 class TestTargetPriors:
