@@ -36,7 +36,6 @@ from .intersect import (
 )
 from .sampling import (
     Design,
-    PriorKind,
     SamplingScheme,
     SchemeKind,
     TargetPrior,

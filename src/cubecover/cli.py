@@ -29,7 +29,7 @@ from .coverage import (
     product_form_approximation,
 )
 from .estimates import CoverageEstimate
-from .geometry import log_unit_ball_volume, min_squared_distances
+from .geometry import log_unit_ball_volume
 from .intersect import (
     EdgeworthConfig,
     clt_probability,
@@ -43,7 +43,6 @@ from .sampling import (
     TargetPrior,
     min_hamming_vertex_design,
     sample_design,
-    sample_targets,
 )
 from .solvers import (
     asymptotic_radius,
@@ -263,14 +262,10 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
     stream = SeededStream(seed)
 
     query = CoverageQuery(d, max(r_values), n, scheme, prior)
-    if scheme.is_iid:
-        d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
-        method = "design_averaged"
-    else:
-        design = sample_design(scheme, n, stream.child(0))
-        targets = sample_targets(prior, n_targets, stream.child(1))
-        d2 = min_squared_distances(targets, design.points, threads=threads)[None, :]
-        method = "design_conditional"
+    # a Sobol or vertex run scores one design, not an average over design draws
+    d2 = nearest_distance_sample(query, n_designs if scheme.is_iid else 1, n_targets, stream,
+                                 threads=threads)
+    method = "design_averaged" if scheme.is_iid else "design_conditional"
 
     columns = ["r", "coverage", "std_error", "method", "asymptotic"]
     if with_bounds:

@@ -25,7 +25,6 @@ from .geometry import min_squared_distances
 from .intersect import ball_probability, ball_probability_batch
 from .sampling import (
     Design,
-    PriorKind,
     SamplingScheme,
     SchemeKind,
     TargetPrior,
@@ -144,7 +143,7 @@ def coverage_product_form(query: CoverageQuery, n_targets: int, inner: int,
         raise ValueError("the product form needs an i.i.d. scheme")
     targets = sample_targets(query.prior, n_targets, stream.child(0))
     r, n = query.radius, query.n_points
-    delta, alpha = query.scheme.delta, query.scheme.effective_alpha
+    delta, alpha = query.scheme.delta, query.scheme.alpha
 
     if method in ("edgeworth", "clt"):
         p = ball_probability_batch(targets, delta, alpha, r, order=0 if method == "clt" else order)
@@ -179,9 +178,9 @@ def _inner_mc_probabilities(targets: np.ndarray, delta: float, alpha: float, r: 
 
 def _bound(query: CoverageQuery, u_value: float, method: str, order: int,
            n_samples: int, stream: SeededStream | None) -> float:
-    if query.scheme.kind is not SchemeKind.UNIFORM_DELTA_CUBE:
+    if not query.scheme.is_iid or query.scheme.alpha != 1.0:
         raise ValueError("Jensen bounds are defined for the i.i.d. uniform scheme")
-    if query.prior.kind is not PriorKind.UNIFORM:
+    if query.prior.alpha != 1.0:
         raise ValueError("Jensen bounds are defined for the uniform target prior")
     u = np.full(query.dimension, u_value)
     p = ball_probability(u, query.scheme.delta, 1.0, query.radius,
@@ -224,7 +223,7 @@ def product_form_approximation(query: CoverageQuery, inner: int,
         raise ValueError("need at least one paired draw")
     targets = sample_targets(query.prior, inner, stream.child(0))
     gen = stream.child(1).generator()
-    x = draw_delta_cube(gen, inner, query.dimension, query.scheme.delta, query.scheme.effective_alpha)
+    x = draw_delta_cube(gen, inner, query.dimension, query.scheme.delta, query.scheme.alpha)
     d2 = np.square(x - targets).sum(axis=1)
     p_bar = float(np.count_nonzero(d2 <= query.radius**2)) / inner
     n = query.n_points

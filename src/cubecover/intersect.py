@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, roots_jacobi
 
 from .estimates import CoverageEstimate
 from .geometry import as_point, log_unit_ball_volume
@@ -81,6 +80,8 @@ def _uniform_coordinate_cumulants(u, delta: float, nu_max: int) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _jacobi_rule(alpha: float):
     """Nodes on [0,1] and normalized weights for E[g(w)], w ~ Beta(alpha, alpha)."""
+    from scipy.special import roots_jacobi  # slow to import; uniform runs never get here
+
     nodes, weights = roots_jacobi(_QUAD_NODES, alpha - 1.0, alpha - 1.0)
     w01 = 0.5 * (nodes + 1.0)
     return w01, weights / weights.sum()
@@ -207,6 +208,8 @@ def _edgeworth_cdf(t: np.ndarray, sigma: np.ndarray, cum_sums: np.ndarray, order
 
     ``cum_sums[i, k]`` is the summed cumulant of order k+1 for row i.
     """
+    from scipy.special import ndtr  # slow to import; most commands never get here
+
     total = ndtr(t)
     if order == 0:
         return total
@@ -243,11 +246,16 @@ def edgeworth_probability(U, delta: float, alpha: float, r: float,
 
 def ball_probability_batch(U_rows, delta: float, alpha: float, r: float,
                            order: int = 1, clamp: bool = True) -> np.ndarray:
-    """CLT/Edgeworth probability for many centers at once, shape (m,)."""
+    """CLT/Edgeworth probability for many centers at once, shape (m,).
+
+    ``order`` counts the Edgeworth correction terms, 0 (plain CLT) to 2.
+    """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
+    if not 0 <= order <= 2:
+        raise ValueError(f"supported expansion orders are 0..2, got {order}")
     U = np.atleast_2d(np.asarray(U_rows, dtype=np.float64))
-    cum = coordinate_cumulants(U, delta, alpha, nu_max=max(order + 2, 2)).sum(axis=1)
+    cum = coordinate_cumulants(U, delta, alpha, nu_max=order + 2).sum(axis=1)
     mean, var = cum[:, 0], cum[:, 1]
     sigma = np.sqrt(var)
     ok = sigma > 0
@@ -274,10 +282,9 @@ def ball_probability(U, delta: float, alpha: float, r: float, *,
         if exact is not None:
             return exact
         method = "edgeworth"
-    if method == "clt":
-        return clt_probability(u, delta, alpha, r)
-    if method == "edgeworth":
-        return edgeworth_probability(u, delta, alpha, r, EdgeworthConfig(order=order))
+    if method in ("clt", "edgeworth"):
+        return float(ball_probability_batch(u[None, :], delta, alpha, r,
+                                            order=0 if method == "clt" else order)[0])
     if method == "mc":
         if stream is None:
             raise ValueError("method='mc' needs a SeededStream")

@@ -1,11 +1,12 @@
 """Point-placement schemes and target priors.
 
 Design points live in the delta-cube C_delta = [1/2-delta/2, 1/2+delta/2]^d.
-Supported schemes: i.i.d. uniform on C_delta, i.i.d. product-beta on C_delta
-(bowl-shaped for alpha < 1; the alpha = 1 case *is* the uniform scheme),
-Sobol points rescaled into C_delta, and the vertex design (centre of [0,1]^d
-plus random distinct vertices of [1/4, 3/4]^d).  Targets are drawn uniformly
-or with i.i.d. symmetric Beta(alpha, alpha) coordinates on [0,1]^d.
+Supported schemes: i.i.d. points with the product density p_{alpha,delta} on
+C_delta, Sobol points rescaled into C_delta, and the vertex design (centre of
+[0,1]^d plus random distinct vertices of [1/4, 3/4]^d).  Targets have i.i.d.
+symmetric Beta(alpha, alpha) coordinates on [0,1]^d.  In both laws alpha = 1
+*is* the uniform one (alpha < 1 is bowl-shaped), so an i.i.d. scheme is
+described by (delta, alpha) alone and a prior by alpha alone.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .sobol import sobol_points
 from .streams import SeededStream
 
 __all__ = [
     "Design",
-    "PriorKind",
     "SamplingScheme",
     "SchemeKind",
     "TargetPrior",
@@ -35,20 +34,20 @@ __all__ = [
 
 
 class SchemeKind(enum.Enum):
-    UNIFORM_DELTA_CUBE = "uniform"
-    BETA_DELTA_CUBE = "beta"
+    """How design points are placed; the i.i.d. law itself is ``alpha``."""
+
+    IID_DELTA_CUBE = "iid"
     SOBOL_DELTA_CUBE = "sobol"
     VERTEX_DESIGN = "vertex"
 
 
-class PriorKind(enum.Enum):
-    UNIFORM = "uniform"
-    PRODUCT_BETA = "beta"
-
-
 @dataclass(frozen=True)
 class SamplingScheme:
-    """How design points are placed inside the delta-cube."""
+    """How design points are placed inside the delta-cube.
+
+    ``alpha`` is the Beta(alpha, alpha) shape of the i.i.d. scheme, with
+    alpha = 1 the uniform law; the Sobol and vertex designs take none.
+    """
 
     kind: SchemeKind
     dimension: int
@@ -62,16 +61,19 @@ class SamplingScheme:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not self.is_iid and self.alpha != 1.0:
+            raise ValueError(f"alpha applies only to the i.i.d. scheme, got {self.kind.value} "
+                             f"with alpha = {self.alpha}")
         if self.kind is SchemeKind.VERTEX_DESIGN and self.delta != 0.5:
             raise ValueError("the vertex design uses the fixed cube [1/4, 3/4]^d (delta = 1/2)")
 
     @classmethod
     def uniform(cls, dimension: int, delta: float = 1.0) -> "SamplingScheme":
-        return cls(SchemeKind.UNIFORM_DELTA_CUBE, dimension, delta)
+        return cls(SchemeKind.IID_DELTA_CUBE, dimension, delta)
 
     @classmethod
     def beta(cls, dimension: int, alpha: float, delta: float = 1.0) -> "SamplingScheme":
-        return cls(SchemeKind.BETA_DELTA_CUBE, dimension, delta, alpha)
+        return cls(SchemeKind.IID_DELTA_CUBE, dimension, delta, alpha)
 
     @classmethod
     def sobol(cls, dimension: int, delta: float = 1.0) -> "SamplingScheme":
@@ -83,18 +85,14 @@ class SamplingScheme:
 
     @property
     def is_iid(self) -> bool:
-        return self.kind in (SchemeKind.UNIFORM_DELTA_CUBE, SchemeKind.BETA_DELTA_CUBE)
-
-    @property
-    def effective_alpha(self) -> float:
-        return self.alpha if self.kind is SchemeKind.BETA_DELTA_CUBE else 1.0
+        return self.kind is SchemeKind.IID_DELTA_CUBE
 
 
 @dataclass(frozen=True)
 class TargetPrior:
-    """Distribution of the unknown target point on [0,1]^d."""
+    """Distribution of the unknown target point on [0,1]^d: i.i.d.
+    Beta(alpha, alpha) coordinates, with alpha = 1 the uniform prior."""
 
-    kind: PriorKind
     dimension: int
     alpha: float = 1.0
 
@@ -106,11 +104,11 @@ class TargetPrior:
 
     @classmethod
     def uniform(cls, dimension: int) -> "TargetPrior":
-        return cls(PriorKind.UNIFORM, dimension)
+        return cls(dimension)
 
     @classmethod
     def product_beta(cls, dimension: int, alpha: float) -> "TargetPrior":
-        return cls(PriorKind.PRODUCT_BETA, dimension, alpha)
+        return cls(dimension, alpha)
 
 
 @dataclass(frozen=True)
@@ -152,6 +150,8 @@ def beta_quantile(alpha: float, u: np.ndarray) -> np.ndarray:
         return u
     if alpha == 0.5:
         return np.square(np.sin(0.5 * np.pi * u))
+    from scipy.special import betaincinv  # slow to import; most runs never get here
+
     return betaincinv(alpha, alpha, u)
 
 
@@ -208,9 +208,7 @@ def sample_design(scheme: SamplingScheme, n: int, stream: SeededStream) -> Desig
         pts = 0.5 + scheme.delta * (sobol_points(d, n) - 0.5)
         return Design(pts, scheme, stream)
     gen = stream.generator()
-    if scheme.kind is SchemeKind.UNIFORM_DELTA_CUBE:
-        pts = draw_delta_cube(gen, n, d, scheme.delta, 1.0)
-    elif scheme.kind is SchemeKind.BETA_DELTA_CUBE:
+    if scheme.is_iid:
         pts = draw_delta_cube(gen, n, d, scheme.delta, scheme.alpha)
     elif scheme.kind is SchemeKind.VERTEX_DESIGN:
         if d < 63 and n - 1 > (1 << d):
@@ -226,11 +224,7 @@ def sample_targets(prior: TargetPrior, n: int, stream: SeededStream) -> np.ndarr
     """n prior draws of the target, shape (n, d)."""
     if n < 1:
         raise ValueError(f"need n >= 1 targets, got {n}")
-    gen = stream.generator()
-    u = gen.random((n, prior.dimension))
-    if prior.kind is PriorKind.UNIFORM:
-        return u
-    return beta_quantile(prior.alpha, u)
+    return beta_quantile(prior.alpha, stream.generator().random((n, prior.dimension)))
 
 
 def sample_target(prior: TargetPrior, stream: SeededStream) -> np.ndarray:

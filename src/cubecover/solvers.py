@@ -202,13 +202,13 @@ def delta_sweep(
     """Design-averaged coverage as a function of delta, at fixed (d, n, r).
 
     Target draws are shared across the grid (common random numbers), so the
-    comparison between deltas is paired.  The scheme is uniform for alpha = 1
-    and product-beta otherwise.
+    comparison between deltas is paired.  The scheme is i.i.d.
+    p_{alpha,delta}, uniform for alpha = 1.
     """
     grid: list[tuple[float, CoverageEstimate]] = []
     best_delta, best_cov = None, -1.0
     for delta in _checked_delta_grid(deltas):
-        scheme = SamplingScheme.uniform(d, delta) if alpha == 1.0 else SamplingScheme.beta(d, alpha, delta)
+        scheme = SamplingScheme.beta(d, alpha, delta)
         # the same stream at every delta: the grid is compared on coupled
         # draws, not refreshed ones
         query = CoverageQuery(d, r, n, scheme, prior)
@@ -336,7 +336,7 @@ def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g:
     block = 1024
     while grown < n_cap and unhit.size + (n_targets - int(np.count_nonzero(reachable))) > allowed_misses:
         m = min(block, n_cap - grown)
-        pts = draw_delta_cube(gen, m, scheme.dimension, scheme.delta, scheme.effective_alpha)
+        pts = draw_delta_cube(gen, m, scheme.dimension, scheme.delta, scheme.alpha)
         sub = first_hit_index(targets[unhit], pts, r, threads=threads)
         found = sub <= m
         if found.any():
@@ -371,12 +371,12 @@ def empirical_n_gamma_best_delta(
     A best cell with n <= 1 is reported as NA/"degenerate": one point already
     covers the required fraction, so there is no sampling scheme left to tune.
     """
-    grid = sorted(deltas, reverse=True) if deltas is not None else sorted(default_delta_grid(), reverse=True)
+    grid = _checked_delta_grid(default_delta_grid() if deltas is None else deltas)[::-1]
     per_delta: list[tuple[float, NGammaResult]] = []
     best: NGammaResult | None = None
     cap = min(n_cap, initial_cap) if initial_cap else n_cap
     for j, delta in enumerate(grid):
-        scheme = SamplingScheme.uniform(d, delta) if alpha == 1.0 else SamplingScheme.beta(d, alpha, delta)
+        scheme = SamplingScheme.beta(d, alpha, delta)
         res = empirical_n_gamma(d, r, scheme, gamma, stream.child(j),
                                 n_targets=n_targets, n_designs=n_designs, n_cap=cap, threads=threads)
         if res.status != "ok" and cap < n_cap:

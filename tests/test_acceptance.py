@@ -246,7 +246,7 @@ class TestCriterion9OracleEquivalence:
             d = int(qgen.integers(1, 7))
             delta = float(qgen.uniform(0.3, 1.0))
             alpha = float(qgen.choice([0.5, 1.0, 2.0]))
-            scheme = SamplingScheme.uniform(d, delta) if alpha == 1.0 else SamplingScheme.beta(d, alpha, delta)
+            scheme = SamplingScheme.beta(d, alpha, delta)
             prior = TargetPrior.uniform(d)
             # pick r so coverage is non-degenerate: empirical mid-quantile of ||U-X||
             u0 = sample_targets(prior, 256, rng_stream.child(100 + k))

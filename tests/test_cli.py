@@ -62,6 +62,17 @@ class TestCoverageCommand:
         header = out.read_text().splitlines()[1].split(",")
         assert header[-3:] == ["jensen_center", "jensen_refined", "product_form_approx"]
 
+    @pytest.mark.parametrize("law", [("--scheme", "beta", "--alpha", "1"),
+                                     ("--prior", "beta", "--alpha", "1")],
+                             ids=["beta-scheme", "beta-prior"])
+    def test_alpha_one_bounds_match_uniform(self, tmp_path, law):
+        args = ("coverage", "--dim", "5", "--n", "100", "--r-grid", "0.3:0.5:0.1",
+                "--targets", "2000", "--designs", "1", "--bounds", "--seed", "5")
+        code_u, out_u = run(tmp_path, "u.csv", *args)
+        code_b, out_b = run(tmp_path, "b.csv", *args, *law)
+        assert code_u == code_b == 0
+        assert out_b.read_bytes() == out_u.read_bytes()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

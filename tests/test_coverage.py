@@ -116,6 +116,11 @@ class TestProductForm:
         with pytest.raises(ValueError):
             coverage_product_form(uniform_query(2, 0.3, 5), 100, 0, SeededStream(15))
 
+    def test_edgeworth_order_outside_range_rejected(self):
+        with pytest.raises(ValueError, match="orders are 0..2"):
+            coverage_product_form(uniform_query(3, 0.4, 10), 50, 1, SeededStream(15),
+                                  method="edgeworth", order=-1)
+
     def test_routes_agree_at_small_n(self):
         # (1-p)^n amplifies inner-probability error by n(1-p)^{n-1}, so the
         # analytic and inner-MC routes are comparable only for moderate n
@@ -162,6 +167,20 @@ class TestJensenBounds:
         auto = jensen_bound_center(q)
         mc = jensen_bound_center(q, method="mc", n_samples=400_000, stream=SeededStream(19))
         assert abs(auto - mc) < 0.02
+
+    def test_alpha_one_beta_laws_are_uniform(self):
+        q = CoverageQuery(4, 0.6, 10, SamplingScheme.beta(4, 1.0, 0.9), TargetPrior.product_beta(4, 1.0))
+        ref = CoverageQuery.uniform(4, 0.6, 10, 0.9)
+        assert jensen_bound_center(q) == jensen_bound_center(ref)
+        assert jensen_bound_refined(q) == jensen_bound_refined(ref)
+
+    @pytest.mark.parametrize("scheme, prior", [
+        (SamplingScheme.sobol(4), TargetPrior.uniform(4)),
+        (SamplingScheme.uniform(4), TargetPrior.product_beta(4, 0.5)),
+    ], ids=["sobol-scheme", "beta-prior"])
+    def test_rejects_non_uniform_laws(self, scheme, prior):
+        with pytest.raises(ValueError, match="Jensen bounds"):
+            jensen_bound_refined(CoverageQuery(4, 0.5, 10, scheme, prior))
 
     def test_requires_uniform_scheme(self):
         q = CoverageQuery(4, 0.5, 10, SamplingScheme.beta(4, 0.5), TargetPrior.uniform(4))

@@ -236,11 +236,22 @@ class TestNearestDistanceEngines:
             exact = ((t[:, None, :] - p[None, :, :]) ** 2).sum(axis=2).min(axis=1)
             assert np.allclose(got, exact, rtol=1e-12, atol=1e-15)
         """)
-        src = str(Path(geometry_module.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        _run_fresh(script)
+
+    def test_cli_import_defers_scipy_special(self):
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import cubecover.cli
+            from cubecover import intersect, sampling
+            assert "scipy.special" not in sys.modules
+            u = np.linspace(0.1, 0.9, 5)
+            x = sampling.beta_quantile(2.0, u)
+            assert np.allclose(3 * x**2 - 2 * x**3, u)  # the Beta(2, 2) cdf
+            assert 0.0 < intersect.clt_probability(np.full(4, 0.5), 1.0, 2.0, 0.5) < 1.0
+            assert "scipy.special" in sys.modules
+        """)
+        _run_fresh(script)
 
     def test_kdtree_engine_calls_rebound_name(self, monkeypatch):
         calls = []
@@ -254,6 +265,15 @@ class TestNearestDistanceEngines:
         rng = np.random.default_rng(17)
         min_squared_distances(rng.random((20, 4)), rng.random((64, 4)), engine="kdtree")
         assert calls == [1]
+
+
+def _run_fresh(script: str) -> None:
+    """Run ``script`` in a new interpreter that imports this source tree."""
+    src = str(Path(geometry_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCubesAndBalls:

@@ -239,6 +239,13 @@ class TestBallProbabilityBatch:
         with pytest.raises(ValueError):
             ball_probability_batch(np.full((2, 3), 0.5), 1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("order", [-1, 3])
+    def test_order_outside_range_rejected(self, order):
+        with pytest.raises(ValueError, match="orders are 0..2"):
+            ball_probability_batch(np.full((2, 3), 0.4), 1.0, 1.0, 0.5, order=order)
+        with pytest.raises(ValueError, match="orders are 0..2"):
+            ball_probability(np.full(3, 0.4), 1.0, 1.0, 0.5, method="edgeworth", order=order)
+
 
 class TestMcOracle:
     def test_r_zero(self):

@@ -59,6 +59,10 @@ class TestBetaScheme:
         u = sample_design(SamplingScheme.uniform(2, 0.6), 5000, SeededStream(4)).points
         assert np.array_equal(b, u)
 
+    def test_alpha_one_is_the_uniform_scheme(self):
+        assert SamplingScheme.beta(3, 1.0, 0.6) == SamplingScheme.uniform(3, 0.6)
+        assert SamplingScheme.beta(3, 0.5, 0.6) != SamplingScheme.uniform(3, 0.6)
+
     def test_alpha_one_distribution_matches_uniform(self):
         b = sample_design(SamplingScheme.beta(1, 1.0, 1.0), 100_000, SeededStream(5)).points.ravel()
         u = sample_design(SamplingScheme.uniform(1, 1.0), 100_000, SeededStream(6)).points.ravel()
@@ -104,6 +108,11 @@ class TestTargetPriors:
         assert (xs < 0.1).mean() == pytest.approx(expected, abs=0.002)
         assert expected == pytest.approx(0.2048, abs=2e-4)
 
+    def test_beta_one_is_the_uniform_prior(self):
+        assert TargetPrior.product_beta(4, 1.0) == TargetPrior.uniform(4)
+        a = sample_targets(TargetPrior.product_beta(4, 1.0), 500, SeededStream(11))
+        assert np.array_equal(a, sample_targets(TargetPrior.uniform(4), 500, SeededStream(11)))
+
     def test_beta_one_is_uniform(self):
         a = sample_targets(TargetPrior.product_beta(1, 1.0), 100_000, SeededStream(11)).ravel()
         b = sample_targets(TargetPrior.uniform(1), 100_000, SeededStream(12)).ravel()
@@ -126,6 +135,11 @@ class TestVertexDesign:
     def test_infeasible_count(self):
         with pytest.raises(ValueError, match="infeasible"):
             sample_design(SamplingScheme.vertex(3), 10, SeededStream(15))
+
+    @pytest.mark.parametrize("kind", [SchemeKind.SOBOL_DELTA_CUBE, SchemeKind.VERTEX_DESIGN])
+    def test_alpha_only_for_iid(self, kind):
+        with pytest.raises(ValueError, match="alpha applies only"):
+            SamplingScheme(kind, 3, 0.5, alpha=0.5)
 
     def test_vertex_scheme_pins_delta(self):
         with pytest.raises(ValueError):

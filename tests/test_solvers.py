@@ -270,6 +270,11 @@ class TestEmpiricalNGamma:
         assert best.csv_value() == "NA"
         assert any(res.status == "ok" for _, res in per_delta)
 
+    @pytest.mark.parametrize("deltas", [[], [0.5, 1.2]], ids=["empty", "above-one"])
+    def test_best_delta_grid_validation(self, deltas):
+        with pytest.raises(ValueError, match="delta grid is empty|deltas must lie"):
+            empirical_n_gamma_best_delta(3, 0.3, 0.1, SeededStream(18), deltas=deltas)
+
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             empirical_n_gamma(3, 0.0, SamplingScheme.uniform(3), 0.1, SeededStream(17))
