@@ -11,6 +11,7 @@ from .coverage import (
     jensen_bound_center,
     jensen_bound_refined,
     nearest_distance_sample,
+    paired_distance_sample,
     product_form_approximation,
 )
 from .estimates import CoverageEstimate

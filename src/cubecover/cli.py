@@ -21,12 +21,13 @@ from . import __version__
 from .coverage import (
     CoverageQuery,
     _averaged_estimate,
+    _product_form_estimate,
     coverage_design_averaged,
     coverage_design_conditional,
     jensen_bound_center,
     jensen_bound_refined,
     nearest_distance_sample,
-    product_form_approximation,
+    paired_distance_sample,
 )
 from .estimates import CoverageEstimate
 from .geometry import log_unit_ball_volume
@@ -208,8 +209,14 @@ def _emit(out: str | None, command: str, seed: int, columns: list[str], rows: li
         sys.stdout.write(text)
 
 
-def _scheme(p: Params, dimension: int) -> SamplingScheme:
+def _scheme(p: Params, dimension: int, *, prior_reads_alpha: bool = False) -> SamplingScheme:
+    """The design law; a delta or alpha that neither it nor the prior reads is an error."""
     kind = p.get("scheme", "uniform")
+    if kind == "vertex" and p.get("delta") is not None:
+        raise CliError("--delta is not read by --scheme vertex, whose cube is [1/4, 3/4]^d")
+    if kind != "beta" and not prior_reads_alpha and p.get("alpha") is not None:
+        raise CliError(f"--alpha is read only by --scheme beta or --prior beta, "
+                       f"not by --scheme {kind}")
     delta = p.get("delta", 1.0)
     alpha = p.get("alpha", 1.0)
     if kind == "uniform":
@@ -253,7 +260,7 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
     n = p.require("n")
     seed = p.require("seed")
     r_values = _r_grid(p)
-    scheme = _scheme(p, d)
+    scheme = _scheme(p, d, prior_reads_alpha=p.get("prior") == "beta")
     prior = _prior(p, d)
     n_targets = p.get("targets", 20_000)
     n_designs = p.get("designs", 2)
@@ -266,6 +273,8 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
     d2 = nearest_distance_sample(query, n_designs if scheme.is_iid else 1, n_targets, stream,
                                  threads=threads)
     method = "design_averaged" if scheme.is_iid else "design_conditional"
+    if with_bounds:
+        pairs = paired_distance_sample(query, max(n_targets, 10_000), stream.child(7))
 
     columns = ["r", "coverage", "std_error", "method", "asymptotic"]
     if with_bounds:
@@ -277,7 +286,7 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
         if with_bounds:
             qr = query.with_radius(r)
             row += [jensen_bound_center(qr), jensen_bound_refined(qr),
-                    product_form_approximation(qr, max(n_targets, 10_000), stream.child(7)).value]
+                    _product_form_estimate(pairs, r, n).value]
         rows.append(row)
     return columns, rows
 
@@ -287,7 +296,7 @@ def cmd_radius(p: Params) -> tuple[list[str], list[list]]:
     n = p.require("n")
     seed = p.require("seed")
     gamma = p.get("gamma", 0.1)
-    scheme = _scheme(p, d)
+    scheme = _scheme(p, d, prior_reads_alpha=p.get("prior") == "beta")
     prior = _prior(p, d)
     r_emp = empirical_radius_quantile(
         d, n, scheme, prior, gamma, SeededStream(seed),

@@ -43,6 +43,7 @@ __all__ = [
     "jensen_bound_center",
     "jensen_bound_refined",
     "nearest_distance_sample",
+    "paired_distance_sample",
     "product_form_approximation",
 ]
 
@@ -98,7 +99,7 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
         raise ValueError("n_designs and n_targets must be >= 1")
     out = np.empty((n_designs, n_targets))
     for k in range(n_designs):
-        design = sample_design(query.scheme, query.n_points, stream.child(2 * k))
+        design = sample_design(query.scheme, query.n_points, stream.child(2 * k), threads=threads)
         targets = sample_targets(query.prior, n_targets, stream.child(2 * k + 1))
         out[k] = min_squared_distances(targets, design.points, threads=threads)
     return out
@@ -209,13 +210,13 @@ def jensen_bound_refined(query: CoverageQuery, *, method: str = "auto", order: i
     return _bound(query, 0.75, method, order, n_samples, stream)
 
 
-def product_form_approximation(query: CoverageQuery, inner: int,
-                               stream: SeededStream) -> CoverageEstimate:
-    """1 - (1 - p_bar)^n with p_bar = P_{U,X}{||U - X|| <= r} from paired draws.
+def paired_distance_sample(query: CoverageQuery, inner: int, stream: SeededStream) -> np.ndarray:
+    """Squared distances ||U - X||^2 of ``inner`` independent (target, point) pairs.
 
-    Not a bound: by convexity of (1-p)^n it overshoots F, tracking it closely
-    except deep in the high-coverage tail.  The standard error is the delta
-    method applied to the binomial error of p_bar.
+    U follows the prior and X the i.i.d. scheme; ``query.radius`` is not
+    read, so a radius sweep draws this once and evaluates each radius with
+    :func:`_product_form_estimate`, as :func:`product_form_approximation` does
+    for one.
     """
     if not query.scheme.is_iid:
         raise ValueError("the product-form approximation needs an i.i.d. scheme")
@@ -224,13 +225,29 @@ def product_form_approximation(query: CoverageQuery, inner: int,
     targets = sample_targets(query.prior, inner, stream.child(0))
     gen = stream.child(1).generator()
     x = draw_delta_cube(gen, inner, query.dimension, query.scheme.delta, query.scheme.alpha)
-    d2 = np.square(x - targets).sum(axis=1)
-    p_bar = float(np.count_nonzero(d2 <= query.radius**2)) / inner
-    n = query.n_points
+    return np.square(x - targets).sum(axis=1)
+
+
+def _product_form_estimate(d2: np.ndarray, radius: float, n_points: int) -> CoverageEstimate:
+    inner = d2.size
+    p_bar = float(np.count_nonzero(d2 <= radius**2)) / inner
+    n = n_points
     value = -math.expm1(n * math.log1p(-min(p_bar, 1.0 - 1e-16)))
     slope = n * (1.0 - p_bar) ** (n - 1)
     se = slope * binomial_std_error(p_bar, inner)
     return CoverageEstimate(min(max(value, 0.0), 1.0), se, inner, 1, "product_form_approx")
+
+
+def product_form_approximation(query: CoverageQuery, inner: int,
+                               stream: SeededStream) -> CoverageEstimate:
+    """1 - (1 - p_bar)^n with p_bar = P_{U,X}{||U - X|| <= r} from paired draws.
+
+    Not a bound: by convexity of (1-p)^n it overshoots F, tracking it closely
+    except deep in the high-coverage tail.  The standard error is the delta
+    method applied to the binomial error of p_bar.
+    """
+    d2 = paired_distance_sample(query, inner, stream)
+    return _product_form_estimate(d2, query.radius, query.n_points)
 
 
 def approx_covering_radius(design: Design, n_probes: int, stream: SeededStream,

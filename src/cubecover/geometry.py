@@ -30,6 +30,10 @@ __all__ = [
 # above this dimension (KD-trees degrade to brute force in high d).
 _KDTREE_MAX_DIM = 10
 
+# Row-chunk length for filling large point arrays in the worker pool; fixed,
+# so the chunk schedule depends only on the number of rows.
+_ROW_CHUNK = 8192
+
 
 def __getattr__(name: str):
     # Only the KD-tree engine needs scipy.spatial, which is slow to import, so
@@ -173,8 +177,8 @@ class _CentredExpansion:
     augmented rows [-2 x', ||x'||^2] and a block of targets as [u', 1], so each
     tile, the bracket for the block against ``point_chunk`` points, is a single
     float32 GEMM with no further pass over it.  Callers add ||u'||^2 after
-    reducing over the points.  Tiles of one call may be computed in the shared
-    worker pool of ``_map_chunks``.
+    reducing over the points.  The point rows are filled, and tiles of one
+    call computed, in the shared worker pool of ``_map_chunks``.
 
     Centring halves each coordinate's magnitude, and the rounding error of the
     expansion is of order eps32 * d * (||u'||^2 + ||x'||^2) (Higham, Accuracy
@@ -182,21 +186,29 @@ class _CentredExpansion:
     four-fold against the uncentred form on [0, 1]^d.
     """
 
-    def __init__(self, points: np.ndarray, point_chunk: int):
-        self.pa, x = self.centre(points)
-        self.pa[:, -1] = np.einsum("ij,ij->i", x, x)
-        x *= np.float32(-2.0)
-        self.n = points.shape[0]
+    def __init__(self, points: np.ndarray, point_chunk: int, threads: int):
+        self.n, d = points.shape
+        self.pa = np.empty((self.n, d + 1), dtype=np.float32)
         self.point_chunk = point_chunk
 
+        def fill(a: int, b: int) -> None:
+            rows = self.pa[a:b]
+            _, x = self.centre(points[a:b], rows)
+            rows[:, -1] = np.einsum("ij,ij->i", x, x)
+            x *= np.float32(-2.0)
+
+        _map_chunks(fill, self.n, _ROW_CHUNK, threads)
+
     @staticmethod
-    def centre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def centre(x: np.ndarray, aug: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """float32 rows ``[x - 1/2, 1]``, with a view of their centred part.
 
         The subtraction runs in float64 and is rounded once into the float32
-        buffer, without a float64 temporary of the whole block.
+        buffer (``aug`` if given), without a float64 temporary of the block.
+        Every value is a function of its own row alone.
         """
-        aug = np.empty((x.shape[0], x.shape[1] + 1), dtype=np.float32)
+        if aug is None:
+            aug = np.empty((x.shape[0], x.shape[1] + 1), dtype=np.float32)
         aug[:, -1] = 1.0
         c = aug[:, :-1]
         np.subtract(x, 0.5, out=c, casting="unsafe")
@@ -218,7 +230,7 @@ def min_squared_distances(
     *,
     threads: int = 1,
     target_chunk: int = 1024,
-    point_chunk: int = 4096,
+    point_chunk: int = 2048,
     engine: str = "auto",
 ) -> np.ndarray:
     """Squared distance from each target to its nearest point in ``points``.
@@ -226,7 +238,10 @@ def min_squared_distances(
     Parameters
     ----------
     targets, points : arrays of shape (m, d) and (n, d)
-    threads : worker threads over target chunks; does not affect the result.
+    threads : worker threads over point and target chunks; does not affect
+        the result.
+    target_chunk, point_chunk : tile shape; each worker holds one float32
+        ``target_chunk x point_chunk`` tile (8 MB at the defaults).
     engine : "auto", "kdtree" or "blas".  The BLAS engine expands
         ||u - x||^2 = ||u'||^2 - 2 u'.x' + ||x'||^2 about the cube's centre
         (u' = u - 1/2, x' = x - 1/2) in float32 tiles, which is the only
@@ -255,7 +270,7 @@ def min_squared_distances(
     if engine != "blas":
         raise ValueError(f"unknown engine {engine!r}")
 
-    ex = _CentredExpansion(P, point_chunk)
+    ex = _CentredExpansion(P, point_chunk, threads)
 
     def block(a: int, b: int) -> np.ndarray:
         t, tnorm = ex.targets(T[a:b])
@@ -291,7 +306,7 @@ def first_hit_index(
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if T.shape[1] != P.shape[1]:
         raise ValueError(f"dimension mismatch: {T.shape[1]} vs {P.shape[1]}")
-    ex = _CentredExpansion(P, point_chunk)
+    ex = _CentredExpansion(P, point_chunk, threads)
     r2 = np.float32(float(radius) ** 2)
 
     def block(a: int, b: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import _ROW_CHUNK, _map_chunks
 from .sobol import sobol_points
 from .streams import SeededStream
 
@@ -25,6 +26,7 @@ __all__ = [
     "SamplingScheme",
     "SchemeKind",
     "TargetPrior",
+    "draw_iid_rows",
     "hamming_threshold",
     "min_hamming_vertex_design",
     "sample_design",
@@ -170,6 +172,28 @@ def draw_delta_cube(gen: np.random.Generator, n: int, dimension: int, delta: flo
     return x
 
 
+def draw_iid_rows(scheme: SamplingScheme, stream: SeededStream, start: int, stop: int,
+                  threads: int = 1) -> np.ndarray:
+    """Rows ``start..stop-1`` of the i.i.d. design that ``stream`` defines.
+
+    Row i takes doubles i*d .. (i+1)*d - 1 of ``stream.generator()``, so the
+    rows are the bytes of ``draw_delta_cube(stream.generator(), stop, ...)``
+    from row ``start`` on.  They are drawn in fixed ``_ROW_CHUNK``-row chunks,
+    each from its own counter offset, in the worker pool of ``_map_chunks``;
+    ``threads`` changes the wall time only.  ``start * d`` must be a multiple
+    of 4 (see :meth:`SeededStream.generator_at`).
+    """
+    d = scheme.dimension
+    out = np.empty((stop - start, d))
+
+    def fill(a: int, b: int) -> None:
+        out[a:b] = draw_delta_cube(stream.generator_at((start + a) * d), b - a, d,
+                                   scheme.delta, scheme.alpha)
+
+    _map_chunks(fill, stop - start, _ROW_CHUNK, threads)
+    return out
+
+
 def _vertex_masks(gen: np.random.Generator, dimension: int, count: int) -> list[int]:
     """``count`` distinct vertex bitmasks of the d-cube, sampled without replacement."""
     total = 1 << dimension if dimension < 63 else None
@@ -194,25 +218,27 @@ def _masks_to_points(masks: list[int], dimension: int) -> np.ndarray:
     return 0.25 + 0.5 * bits  # vertices of [1/4, 3/4]^d
 
 
-def sample_design(scheme: SamplingScheme, n: int, stream: SeededStream) -> Design:
+def sample_design(scheme: SamplingScheme, n: int, stream: SeededStream, *,
+                  threads: int = 1) -> Design:
     """Draw an n-point design according to ``scheme``.
 
-    Sobol designs ignore the stream (they are deterministic); the vertex
-    design places the cube centre first and then n-1 distinct random vertices
-    of [1/4, 3/4]^d.
+    An i.i.d. design is ``draw_delta_cube(stream.generator(), n, ...)``,
+    drawn in chunks over ``threads`` workers by :func:`draw_iid_rows`.  Sobol
+    designs ignore the stream (they are deterministic); the vertex design
+    places the cube centre first and then n-1 distinct random vertices of
+    [1/4, 3/4]^d.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 points, got {n}")
     d = scheme.dimension
-    if scheme.kind is SchemeKind.SOBOL_DELTA_CUBE:
-        pts = 0.5 + scheme.delta * (sobol_points(d, n) - 0.5)
-        return Design(pts, scheme, stream)
-    gen = stream.generator()
     if scheme.is_iid:
-        pts = draw_delta_cube(gen, n, d, scheme.delta, scheme.alpha)
+        pts = draw_iid_rows(scheme, stream, 0, n, threads)
+    elif scheme.kind is SchemeKind.SOBOL_DELTA_CUBE:
+        pts = 0.5 + scheme.delta * (sobol_points(d, n) - 0.5)
     elif scheme.kind is SchemeKind.VERTEX_DESIGN:
         if d < 63 and n - 1 > (1 << d):
             raise ValueError(f"vertex design infeasible: {n - 1} > 2^{d} vertices")
+        gen = stream.generator()
         pts = np.vstack([np.full((1, d), 0.5), _masks_to_points(_vertex_masks(gen, d, n - 1), d)]) \
             if n > 1 else np.full((1, d), 0.5)
     else:  # pragma: no cover
@@ -250,7 +276,9 @@ def min_hamming_vertex_design(
 
     Vertices are rejection-sampled without replacement; when the retry budget
     runs out before n_max - 1 vertices are found, the design is returned as-is
-    with ``shortfall=True``.
+    with ``shortfall=True``.  Each candidate is checked against all accepted
+    vertices at once: their bits are packed into 64-bit words, so the Hamming
+    distances are the popcounts of one XOR.
     """
     if not 2 <= n_max <= 2**dimension:
         raise ValueError(f"n_max must lie in [2, 2^{dimension}], got {n_max}")
@@ -258,21 +286,37 @@ def min_hamming_vertex_design(
     budget = retry_budget if retry_budget is not None else 50 * n_max + 1000
 
     gen = stream.generator()
-    accepted: list[int] = []
-    tried: set[int] = set()
+    words = -(-dimension // 64)
+    packed = np.empty((min(n_max - 1, 1024), words), dtype=np.uint64)  # grows by doubling
+    accepted: list[np.ndarray] = []
+    tried: set[bytes] = set()
     draws = 0
     while len(accepted) < n_max - 1 and draws < budget:
         draws += 1
         bits = gen.integers(0, 2, size=dimension)
-        m = sum(int(b) << j for j, b in enumerate(bits))
-        if m in tried:
+        m = _pack_bits(bits, words)
+        key = m.tobytes()
+        if key in tried:
             continue
-        tried.add(m)
-        if all(bin(m ^ other).count("1") >= threshold for other in accepted):
-            accepted.append(m)
+        tried.add(key)
+        k = len(accepted)
+        if k and int(np.bitwise_count(packed[:k] ^ m).sum(axis=1).min()) < threshold:
+            continue
+        if k == packed.shape[0]:
+            packed = np.concatenate([packed, np.empty_like(packed)])
+        packed[k] = m
+        accepted.append(bits)
 
     scheme = SamplingScheme.vertex(dimension)
     pts = np.full((1, dimension), 0.5)
     if accepted:
-        pts = np.vstack([pts, _masks_to_points(accepted, dimension)])
+        pts = np.vstack([pts, 0.25 + 0.5 * np.array(accepted, dtype=np.float64)])
     return Design(pts, scheme, stream, shortfall=len(accepted) < n_max - 1)
+
+
+def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:
+    """0/1 vector packed into ``words`` uint64 words, zero-padded."""
+    buf = np.zeros(8 * words, dtype=np.uint8)
+    packed = np.packbits(bits)
+    buf[:packed.size] = packed
+    return buf.view(np.uint64)

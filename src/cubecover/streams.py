@@ -6,6 +6,8 @@ under any thread count.  Independent substreams are derived either by mixing
 a new ``stream_id`` (:meth:`SeededStream.child`) or by jumping the Philox
 counter in 2^128 blocks (:meth:`SeededStream.jumped`), which is what chunked
 Monte Carlo loops use so that results do not depend on the worker count.
+:meth:`SeededStream.generator_at` instead starts part-way into the stream
+itself, so one long draw can be split into chunks drawn in parallel.
 """
 
 from __future__ import annotations
@@ -51,6 +53,19 @@ class SeededStream:
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         return np.random.Generator(self.bit_generator())
+
+    def generator_at(self, offset: int) -> np.random.Generator:
+        """Generator whose next double is double number ``offset`` of :meth:`generator`.
+
+        Philox yields four 64-bit words per counter block and a double takes
+        one word, so this advances the counter by ``offset // 4`` blocks; an
+        ``offset`` that is not a multiple of 4 would start mid-block and is
+        rejected.  Chunks of one long draw can thus be drawn independently,
+        in any order, with the same bytes as the serial draw.
+        """
+        if offset < 0 or offset % 4:
+            raise ValueError(f"offset must be a nonnegative multiple of 4, got {offset}")
+        return np.random.Generator(self.bit_generator().advance(offset // 4))
 
     def child(self, index: int) -> "SeededStream":
         """Derive an independent stream; distinct indices give distinct ids."""

@@ -90,6 +90,19 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        # 9000 design points: two 8192-row chunks for the draw and the kernel's point rows
+        ("coverage", "--dim", "12", "--n", "9000", "--r-grid", "0.8:1.0:0.1",
+         "--targets", "1500", "--designs", "2", "--bounds"),
+        ("table1", "--cells", "6:200,12:9000", "--targets", "1000", "--sweep-targets", "500",
+         "--delta-grid", "0.8,1"),
+    ], ids=["coverage", "table1"])
+    def test_chunked_draws_byte_identical_across_threads(self, tmp_path, args):
+        code1, out1 = run(tmp_path, "a.csv", *args, "--seed", "42", "--threads", "1")
+        code3, out3 = run(tmp_path, "b.csv", *args, "--seed", "42", "--threads", "3")
+        assert code1 == code3 == 0
+        assert out1.read_bytes() == out3.read_bytes()
+
     def test_different_seed_changes_output(self, tmp_path):
         args = ("radius", "--dim", "4", "--n", "100", "--targets", "4000")
         _, a = run(tmp_path, "a.csv", *args, "--seed", "1")
@@ -105,6 +118,33 @@ class TestValidation:
     def test_missing_seed(self, capsys):
         assert main(["radius", "--dim", "3", "--n", "10"]) == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["design", "--dim", "3", "--n", "4", "--scheme", "vertex", "--delta", "0.8"], "--delta"),
+        (["design", "--dim", "3", "--n", "4", "--scheme", "vertex", "--delta", "0.5"], "--delta"),
+        (["design", "--dim", "3", "--n", "4", "--scheme", "sobol", "--alpha", "0.3"], "--alpha"),
+        (["coverage", "--dim", "3", "--n", "4", "--r", "0.3", "--scheme", "sobol",
+          "--alpha", "0.3"], "--alpha"),
+        (["coverage", "--dim", "3", "--n", "4", "--r", "0.3", "--alpha", "0.3"], "--alpha"),
+        (["radius", "--dim", "3", "--n", "4", "--scheme", "vertex", "--delta", "0.8",
+          "--prior", "beta"], "--delta"),
+    ], ids=["vertex-delta", "vertex-delta-half", "sobol-alpha", "coverage-sobol-alpha",
+            "uniform-alpha", "radius-vertex-delta"])
+    def test_unread_delta_or_alpha_exits_2(self, tmp_path, capsys, args, flag):
+        code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["coverage", "--dim", "3", "--n", "4", "--r", "0.3", "--scheme", "sobol",
+         "--prior", "beta", "--alpha", "0.3", "--targets", "200"],
+        ["radius", "--dim", "3", "--n", "4", "--alpha", "2", "--prior", "beta", "--targets", "200"],
+        ["design", "--dim", "3", "--n", "4", "--scheme", "beta", "--alpha", "0.3"],
+    ], ids=["sobol-beta-prior", "uniform-beta-prior", "beta-scheme"])
+    def test_alpha_read_by_scheme_or_prior_accepted(self, tmp_path, args):
+        code, _ = run(tmp_path, "o.csv", *args, "--seed", "1")
+        assert code == 0
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import pytest
 
 from cubecover.coverage import (
     CoverageQuery,
+    _product_form_estimate,
     approx_covering_radius,
     coverage_design_averaged,
     coverage_design_conditional,
@@ -12,6 +13,7 @@ from cubecover.coverage import (
     jensen_bound_center,
     jensen_bound_refined,
     nearest_distance_sample,
+    paired_distance_sample,
     product_form_approximation,
 )
 from cubecover.estimates import CoverageEstimate
@@ -200,6 +202,14 @@ class TestProductFormApproximation:
         est = product_form_approximation(q, 1_000_000, SeededStream(22))
         da = coverage_design_averaged(q, 4, 20_000, SeededStream(23))
         assert abs(est.value - da.value) < 0.05
+
+    def test_one_sample_equals_per_radius_calls(self):
+        q = CoverageQuery(6, 0.5, 300, SamplingScheme.beta(6, 0.5, 0.8), TargetPrior(6, 2.0))
+        stream = SeededStream(27)
+        pairs = paired_distance_sample(q, 20_000, stream)
+        for r in (0.0, 0.3, 0.5, 0.7, 0.9):
+            per_radius = product_form_approximation(q.with_radius(r), 20_000, stream)
+            assert _product_form_estimate(pairs, r, q.n_points) == per_radius
 
     def test_overshoots_f_by_convexity(self):
         q = uniform_query(10, 0.55, 1000)

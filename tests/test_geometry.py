@@ -136,6 +136,18 @@ class TestNearestDistanceEngines:
         b = min_squared_distances(targets, points, threads=4, target_chunk=256)
         assert np.array_equal(a, b)
 
+    def test_point_chunk_does_not_change_result(self):
+        # more than one 8192-row chunk of points, so the point rows are also
+        # filled in the pool when threads > 1
+        rng = np.random.default_rng(17)
+        targets = rng.random((700, 50))
+        points = rng.random((9000, 50))
+        ref = min_squared_distances(targets, points, point_chunk=4096)
+        for point_chunk in (512, 2048):
+            for threads in (1, 3):
+                got = min_squared_distances(targets, points, threads=threads, point_chunk=point_chunk)
+                assert np.array_equal(got, ref)
+
     def test_first_hit_matches_bruteforce(self):
         rng = np.random.default_rng(9)
         targets = rng.random((200, 3))

@@ -12,6 +12,7 @@ from cubecover.sampling import (
     TargetPrior,
     beta_quantile,
     draw_delta_cube,
+    draw_iid_rows,
     hamming_threshold,
     min_hamming_vertex_design,
     sample_design,
@@ -44,6 +45,25 @@ class TestUniformScheme:
         c = sample_design(scheme, 100, SeededStream(5, 2)).points
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestChunkedDraw:
+    @pytest.mark.parametrize("d", [1, 3, 50])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.5])
+    def test_equals_the_serial_draw(self, d, alpha):
+        n = 8192 + 77  # two row chunks, the second one short
+        stream = SeededStream(7, d)
+        serial = draw_delta_cube(stream.generator(), n, d, 0.8, alpha)
+        for threads in (1, 2, 3):
+            des = sample_design(SamplingScheme.beta(d, alpha, 0.8), n, stream, threads=threads)
+            assert np.array_equal(des.points, serial)
+
+    def test_rows_from_an_offset(self):
+        scheme, stream = SamplingScheme.uniform(5, 0.6), SeededStream(8)
+        whole = draw_delta_cube(stream.generator(), 12_000, 5, 0.6)
+        assert np.array_equal(draw_iid_rows(scheme, stream, 1024, 12_000, threads=2), whole[1024:])
+        with pytest.raises(ValueError, match="multiple of 4"):
+            draw_iid_rows(scheme, stream, 1025, 2000)
 
 
 class TestBetaScheme:
@@ -166,6 +186,14 @@ class TestHammingDesign:
             for j in range(i + 1, len(masks)):
                 assert int(np.sum(masks[i] != masks[j])) >= thr
 
+    @pytest.mark.parametrize("d, n_max, seed, budget", [(20, 2**10, 17, None), (12, 2**10, 2, None),
+                                                         (16, 2**10, 18, 5), (66, 2**40, 1, 3000)])
+    def test_identical_to_pairwise_reference(self, d, n_max, seed, budget):
+        des = min_hamming_vertex_design(d, n_max, SeededStream(seed), retry_budget=budget)
+        points, shortfall = _pairwise_hamming_reference(d, n_max, SeededStream(seed), budget)
+        assert np.array_equal(des.points, points)
+        assert des.shortfall == shortfall
+
     def test_shortfall_flag_on_tiny_budget(self):
         des = min_hamming_vertex_design(16, 2**10, SeededStream(18), retry_budget=5)
         assert des.shortfall
@@ -176,6 +204,26 @@ class TestHammingDesign:
             min_hamming_vertex_design(4, 1, SeededStream(19))
         with pytest.raises(ValueError):
             min_hamming_vertex_design(3, 9, SeededStream(20))
+
+
+def _pairwise_hamming_reference(dimension, n_max, stream, retry_budget):
+    """The vertex-at-a-time loop min_hamming_vertex_design must reproduce."""
+    threshold = hamming_threshold(dimension, n_max)
+    budget = retry_budget if retry_budget is not None else 50 * n_max + 1000
+    gen = stream.generator()
+    accepted, tried, draws = [], set(), 0
+    while len(accepted) < n_max - 1 and draws < budget:
+        draws += 1
+        bits = gen.integers(0, 2, size=dimension)
+        m = sum(int(b) << j for j, b in enumerate(bits))
+        if m in tried:
+            continue
+        tried.add(m)
+        if all(bin(m ^ other).count("1") >= threshold for other in accepted):
+            accepted.append(m)
+    rows = [[0.5] * dimension] + [[0.25 + 0.5 * ((m >> j) & 1) for j in range(dimension)]
+                                  for m in accepted]
+    return np.array(rows), len(accepted) < n_max - 1
 
 
 class TestSobolScheme:

@@ -33,6 +33,19 @@ def test_jumped_blocks_reproducible_and_disjoint():
     assert not np.array_equal(a0, a1)
 
 
+@pytest.mark.parametrize("offset", [0, 4, 8, 40, 1000])
+def test_generator_at_continues_the_stream(offset):
+    s = SeededStream(5, 1)
+    whole = s.generator().random(offset + 32)
+    assert np.array_equal(s.generator_at(offset).random(32), whole[offset:])
+
+
+@pytest.mark.parametrize("offset", [1, 2, 3, 6, 1001, -4])
+def test_generator_at_rejects_mid_block_offsets(offset):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        SeededStream(5, 1).generator_at(offset)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         SeededStream(-1)
