@@ -11,7 +11,6 @@ from .coverage import (
     jensen_bound_center,
     jensen_bound_refined,
     nearest_distance_sample,
-    paired_distance_sample,
     product_form_approximation,
 )
 from .estimates import CoverageEstimate

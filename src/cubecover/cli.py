@@ -21,13 +21,13 @@ from . import __version__
 from .coverage import (
     CoverageQuery,
     _averaged_estimate,
+    _paired_distance_sample,
     _product_form_estimate,
     coverage_design_averaged,
     coverage_design_conditional,
     jensen_bound_center,
     jensen_bound_refined,
     nearest_distance_sample,
-    paired_distance_sample,
 )
 from .estimates import CoverageEstimate
 from .geometry import log_unit_ball_volume
@@ -210,7 +210,11 @@ def _emit(out: str | None, command: str, seed: int, columns: list[str], rows: li
 
 
 def _scheme(p: Params, dimension: int, *, prior_reads_alpha: bool = False) -> SamplingScheme:
-    """The design law; a delta or alpha that neither it nor the prior reads is an error."""
+    """The design law; a delta or alpha that neither it nor the prior reads is an error.
+
+    Commands with a ``prior`` field say whether it reads alpha; ``design``
+    has none, and ``p.get("prior")`` would fail there.
+    """
     kind = p.get("scheme", "uniform")
     if kind == "vertex" and p.get("delta") is not None:
         raise CliError("--delta is not read by --scheme vertex, whose cube is [1/4, 3/4]^d")
@@ -274,7 +278,7 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
                                  threads=threads)
     method = "design_averaged" if scheme.is_iid else "design_conditional"
     if with_bounds:
-        pairs = paired_distance_sample(query, max(n_targets, 10_000), stream.child(7))
+        pairs = _paired_distance_sample(query, max(n_targets, 10_000), stream.child(7))
 
     columns = ["r", "coverage", "std_error", "method", "asymptotic"]
     if with_bounds:

@@ -43,7 +43,6 @@ __all__ = [
     "jensen_bound_center",
     "jensen_bound_refined",
     "nearest_distance_sample",
-    "paired_distance_sample",
     "product_form_approximation",
 ]
 
@@ -210,7 +209,7 @@ def jensen_bound_refined(query: CoverageQuery, *, method: str = "auto", order: i
     return _bound(query, 0.75, method, order, n_samples, stream)
 
 
-def paired_distance_sample(query: CoverageQuery, inner: int, stream: SeededStream) -> np.ndarray:
+def _paired_distance_sample(query: CoverageQuery, inner: int, stream: SeededStream) -> np.ndarray:
     """Squared distances ||U - X||^2 of ``inner`` independent (target, point) pairs.
 
     U follows the prior and X the i.i.d. scheme; ``query.radius`` is not
@@ -246,7 +245,7 @@ def product_form_approximation(query: CoverageQuery, inner: int,
     except deep in the high-coverage tail.  The standard error is the delta
     method applied to the binomial error of p_bar.
     """
-    d2 = paired_distance_sample(query, inner, stream)
+    d2 = _paired_distance_sample(query, inner, stream)
     return _product_form_estimate(d2, query.radius, query.n_points)
 
 

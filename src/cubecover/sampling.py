@@ -276,9 +276,7 @@ def min_hamming_vertex_design(
 
     Vertices are rejection-sampled without replacement; when the retry budget
     runs out before n_max - 1 vertices are found, the design is returned as-is
-    with ``shortfall=True``.  Each candidate is checked against all accepted
-    vertices at once: their bits are packed into 64-bit words, so the Hamming
-    distances are the popcounts of one XOR.
+    with ``shortfall=True``.
     """
     if not 2 <= n_max <= 2**dimension:
         raise ValueError(f"n_max must lie in [2, 2^{dimension}], got {n_max}")
@@ -286,37 +284,21 @@ def min_hamming_vertex_design(
     budget = retry_budget if retry_budget is not None else 50 * n_max + 1000
 
     gen = stream.generator()
-    words = -(-dimension // 64)
-    packed = np.empty((min(n_max - 1, 1024), words), dtype=np.uint64)  # grows by doubling
-    accepted: list[np.ndarray] = []
-    tried: set[bytes] = set()
+    accepted: list[int] = []
+    tried: set[int] = set()
     draws = 0
     while len(accepted) < n_max - 1 and draws < budget:
         draws += 1
         bits = gen.integers(0, 2, size=dimension)
-        m = _pack_bits(bits, words)
-        key = m.tobytes()
-        if key in tried:
+        m = sum(int(b) << j for j, b in enumerate(bits))
+        if m in tried:
             continue
-        tried.add(key)
-        k = len(accepted)
-        if k and int(np.bitwise_count(packed[:k] ^ m).sum(axis=1).min()) < threshold:
-            continue
-        if k == packed.shape[0]:
-            packed = np.concatenate([packed, np.empty_like(packed)])
-        packed[k] = m
-        accepted.append(bits)
+        tried.add(m)
+        if all(bin(m ^ other).count("1") >= threshold for other in accepted):
+            accepted.append(m)
 
     scheme = SamplingScheme.vertex(dimension)
     pts = np.full((1, dimension), 0.5)
     if accepted:
-        pts = np.vstack([pts, 0.25 + 0.5 * np.array(accepted, dtype=np.float64)])
+        pts = np.vstack([pts, _masks_to_points(accepted, dimension)])
     return Design(pts, scheme, stream, shortfall=len(accepted) < n_max - 1)
-
-
-def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:
-    """0/1 vector packed into ``words`` uint64 words, zero-padded."""
-    buf = np.zeros(8 * words, dtype=np.uint8)
-    packed = np.packbits(bits)
-    buf[:packed.size] = packed
-    return buf.view(np.uint64)

@@ -5,6 +5,7 @@ import pytest
 
 from cubecover.coverage import (
     CoverageQuery,
+    _paired_distance_sample,
     _product_form_estimate,
     approx_covering_radius,
     coverage_design_averaged,
@@ -13,7 +14,6 @@ from cubecover.coverage import (
     jensen_bound_center,
     jensen_bound_refined,
     nearest_distance_sample,
-    paired_distance_sample,
     product_form_approximation,
 )
 from cubecover.estimates import CoverageEstimate
@@ -206,7 +206,7 @@ class TestProductFormApproximation:
     def test_one_sample_equals_per_radius_calls(self):
         q = CoverageQuery(6, 0.5, 300, SamplingScheme.beta(6, 0.5, 0.8), TargetPrior(6, 2.0))
         stream = SeededStream(27)
-        pairs = paired_distance_sample(q, 20_000, stream)
+        pairs = _paired_distance_sample(q, 20_000, stream)
         for r in (0.0, 0.3, 0.5, 0.7, 0.9):
             per_radius = product_form_approximation(q.with_radius(r), 20_000, stream)
             assert _product_form_estimate(pairs, r, q.n_points) == per_radius
