@@ -490,7 +490,10 @@ def cmd_design(p: Params) -> tuple[list[str], list[list]]:
     scheme = _scheme(p, d)
     stream = SeededStream(seed)
     hamming_nmax = p.get("hamming_nmax")
-    if scheme.kind is SchemeKind.VERTEX_DESIGN and hamming_nmax:
+    if hamming_nmax is not None and scheme.kind is not SchemeKind.VERTEX_DESIGN:
+        raise CliError(f"--hamming-nmax is read only by --scheme vertex, "
+                       f"not by --scheme {p.get('scheme', 'uniform')}")
+    if hamming_nmax is not None:
         design = min_hamming_vertex_design(d, hamming_nmax, stream)
         if design.shortfall:
             print(f"[cubecover] hamming design shortfall: only {design.n} points found", file=sys.stderr)

@@ -25,6 +25,7 @@ from .geometry import min_squared_distances
 from .intersect import ball_probability, ball_probability_batch
 from .sampling import (
     Design,
+    IidRows,
     SamplingScheme,
     SchemeKind,
     TargetPrior,
@@ -92,15 +93,20 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
     The whole radius dependence of design-averaged coverage lives in one
     comparison against r^2, so solvers can draw this sample once, sweep r
     over it with common random numbers, and read radii off it as order
-    statistics.
+    statistics.  An i.i.d. design goes to the kernel as an :class:`IidRows`
+    row source, so its rows are drawn chunk by chunk into the kernel's
+    float32 rows and no float64 copy of it is ever held.
     """
     if n_designs < 1 or n_targets < 1:
         raise ValueError("n_designs and n_targets must be >= 1")
+    scheme, n = query.scheme, query.n_points
     out = np.empty((n_designs, n_targets))
     for k in range(n_designs):
-        design = sample_design(query.scheme, query.n_points, stream.child(2 * k), threads=threads)
+        design_stream = stream.child(2 * k)
+        points = IidRows(scheme, design_stream, 0, n) if scheme.is_iid else \
+            sample_design(scheme, n, design_stream).points
         targets = sample_targets(query.prior, n_targets, stream.child(2 * k + 1))
-        out[k] = min_squared_distances(targets, design.points, threads=threads)
+        out[k] = min_squared_distances(targets, points, threads=threads)
     return out
 
 
@@ -171,7 +177,8 @@ def _inner_mc_probabilities(targets: np.ndarray, delta: float, alpha: float, r: 
         b = min(a + target_chunk, m)
         gen = stream.jumped(c)
         x = draw_delta_cube(gen, (b - a) * inner, d, delta, alpha).reshape(b - a, inner, d)
-        d2 = np.square(x - targets[a:b, None, :]).sum(axis=2)
+        x -= targets[a:b, None, :]
+        d2 = np.square(x, out=x).sum(axis=2)
         p[a:b] = (d2 <= r2).mean(axis=1)
     return p
 
@@ -224,7 +231,8 @@ def _paired_distance_sample(query: CoverageQuery, inner: int, stream: SeededStre
     targets = sample_targets(query.prior, inner, stream.child(0))
     gen = stream.child(1).generator()
     x = draw_delta_cube(gen, inner, query.dimension, query.scheme.delta, query.scheme.alpha)
-    return np.square(x - targets).sum(axis=1)
+    x -= targets
+    return np.square(x, out=x).sum(axis=1)
 
 
 def _product_form_estimate(d2: np.ndarray, radius: float, n_points: int) -> CoverageEstimate:

@@ -1,7 +1,10 @@
 """Dimension-generic geometry: points, sub-cubes, balls and nearest distances.
 
-Everything here works on plain float64 numpy arrays.  Distances are kept
-squared internally; square roots are taken only where an API returns a radius.
+Everything here works on plain float64 numpy arrays; the bulk distance
+kernels also take a *row source*, an object with ``.shape`` (n, d) and
+``.rows(a, b)`` returning float64 rows a..b-1, which they read chunk by chunk.
+Distances are kept squared internally; square roots are taken only where an
+API returns a radius.
 """
 
 from __future__ import annotations
@@ -159,6 +162,34 @@ def _map_chunks(fn, n_items: int, chunk: int, threads: int) -> list:
     return list(_pool(threads).map(lambda s: fn(*s), spans))
 
 
+def _as_points(points):
+    """A row source as it is; anything else as a float64 ``(n, d)`` array.
+
+    A row source is recognised by its ``.rows`` method, so this module needs
+    no import of the types that provide one.
+    """
+    if hasattr(points, "rows"):
+        return points
+    return np.atleast_2d(np.asarray(points, dtype=np.float64))
+
+
+def _point_array(points, threads: int = 1) -> np.ndarray:
+    """The output of :func:`_as_points` as one float64 array.
+
+    An array is returned as it is; a row source is read in ``_ROW_CHUNK``-row
+    chunks in the worker pool of ``_map_chunks``.
+    """
+    if isinstance(points, np.ndarray):
+        return points
+    out = np.empty(points.shape)
+
+    def fill(a: int, b: int) -> None:
+        out[a:b] = points.rows(a, b)
+
+    _map_chunks(fill, out.shape[0], _ROW_CHUNK, threads)
+    return out
+
+
 @functools.cache
 def _pool(threads: int) -> ThreadPoolExecutor:
     """One long-lived pool per worker count.
@@ -178,7 +209,9 @@ class _CentredExpansion:
     tile, the bracket for the block against ``point_chunk`` points, is a single
     float32 GEMM with no further pass over it.  Callers add ||u'||^2 after
     reducing over the points.  The point rows are filled, and tiles of one
-    call computed, in the shared worker pool of ``_map_chunks``.
+    call computed, in the shared worker pool of ``_map_chunks``; each
+    ``_ROW_CHUNK``-row chunk is read from ``points`` (an array or a row source)
+    only when it is filled, so a row source is never held whole in float64.
 
     Centring halves each coordinate's magnitude, and the rounding error of the
     expansion is of order eps32 * d * (||u'||^2 + ||x'||^2) (Higham, Accuracy
@@ -186,14 +219,15 @@ class _CentredExpansion:
     four-fold against the uncentred form on [0, 1]^d.
     """
 
-    def __init__(self, points: np.ndarray, point_chunk: int, threads: int):
+    def __init__(self, points, point_chunk: int, threads: int):
         self.n, d = points.shape
         self.pa = np.empty((self.n, d + 1), dtype=np.float32)
         self.point_chunk = point_chunk
+        read = points.rows if hasattr(points, "rows") else lambda a, b: points[a:b]
 
         def fill(a: int, b: int) -> None:
             rows = self.pa[a:b]
-            _, x = self.centre(points[a:b], rows)
+            _, x = self.centre(read(a, b), rows)
             rows[:, -1] = np.einsum("ij,ij->i", x, x)
             x *= np.float32(-2.0)
 
@@ -237,7 +271,12 @@ def min_squared_distances(
 
     Parameters
     ----------
-    targets, points : arrays of shape (m, d) and (n, d)
+    targets : array of shape (m, d)
+    points : array of shape (n, d), or a row source of that shape, such as
+        :class:`cubecover.sampling.IidRows`.  The BLAS engine reads a row
+        source chunk by chunk into its float32 rows, so it holds
+        ``4 (d + 1) n`` bytes of points and no float64 copy; the KD-tree
+        engine builds the float64 array once.
     threads : worker threads over point and target chunks; does not affect
         the result.
     target_chunk, point_chunk : tile shape; each worker holds one float32
@@ -254,17 +293,18 @@ def min_squared_distances(
     float64 array of shape (m,), clipped at zero.
     """
     T = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if P.shape[0] == 0:
+    P = _as_points(points)
+    n, d = P.shape
+    if n == 0:
         raise ValueError("point set is empty")
-    if T.shape[1] != P.shape[1]:
-        raise ValueError(f"dimension mismatch: {T.shape[1]} vs {P.shape[1]}")
+    if T.shape[1] != d:
+        raise ValueError(f"dimension mismatch: {T.shape[1]} vs {d}")
 
     if engine == "auto":
-        engine = "kdtree" if P.shape[1] <= _KDTREE_MAX_DIM and P.shape[0] >= 32 else "blas"
+        engine = "kdtree" if d <= _KDTREE_MAX_DIM and n >= 32 else "blas"
 
     if engine == "kdtree":
-        tree = sys.modules[__name__].cKDTree(P)  # resolved now: see __getattr__
+        tree = sys.modules[__name__].cKDTree(_point_array(P, threads))  # resolved now: see __getattr__
         dist, _ = tree.query(T, k=1, workers=max(threads, 1))
         return np.asarray(dist, dtype=np.float64) ** 2
     if engine != "blas":
@@ -300,10 +340,11 @@ def first_hit_index(
     "covered by the first n points", which makes coverage monotone in n under
     common random numbers.  Hit decisions are made in float32 with the
     centred expansion of ``min_squared_distances``, so a pair within its
-    rounding error of ``radius`` may be decided either way.
+    rounding error of ``radius`` may be decided either way.  ``points`` is an
+    ``(n, d)`` array or a row source, read as in ``min_squared_distances``.
     """
     T = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    P = _as_points(points)
     if T.shape[1] != P.shape[1]:
         raise ValueError(f"dimension mismatch: {T.shape[1]} vs {P.shape[1]}")
     ex = _CentredExpansion(P, point_chunk, threads)

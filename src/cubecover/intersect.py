@@ -324,8 +324,8 @@ def mc_intersection_oracle(U, delta: float, alpha: float, r: float,
         m = min(_MC_CHUNK, n_samples - done)
         gen = stream.jumped(chunk_index)
         x = draw_delta_cube(gen, m, u.size, delta, alpha)
-        diff = x - u
-        hits += int(np.count_nonzero(np.einsum("ij,ij->i", diff, diff) <= r2))
+        x -= u
+        hits += int(np.count_nonzero(np.einsum("ij,ij->i", x, x) <= r2))
         done += m
         chunk_index += 1
     p = hits / n_samples

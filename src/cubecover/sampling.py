@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _ROW_CHUNK, _map_chunks
+from .geometry import _point_array
 from .sobol import sobol_points
 from .streams import SeededStream
 
 __all__ = [
     "Design",
+    "IidRows",
     "SamplingScheme",
     "SchemeKind",
     "TargetPrior",
@@ -172,26 +173,43 @@ def draw_delta_cube(gen: np.random.Generator, n: int, dimension: int, delta: flo
     return x
 
 
+@dataclass(frozen=True)
+class IidRows:
+    """Rows ``start..stop-1`` of the i.i.d. design that ``stream`` defines, drawn on demand.
+
+    Row i takes doubles i*d .. (i+1)*d - 1 of ``stream.generator()``, so
+    ``rows(a, b)`` is rows ``start+a .. start+b-1`` of
+    ``draw_delta_cube(stream.generator(), stop, ...)``, drawn from its own
+    counter offset.  The distance kernels accept this in place of a point
+    array and draw each row chunk only when they fill it, so the float64
+    design is never held whole.  ``(start + a) * d`` must be a multiple of 4
+    (see :meth:`SeededStream.generator_at`).
+    """
+
+    scheme: SamplingScheme
+    stream: SeededStream
+    start: int
+    stop: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.stop - self.start, self.scheme.dimension
+
+    def rows(self, a: int, b: int) -> np.ndarray:
+        d = self.scheme.dimension
+        return draw_delta_cube(self.stream.generator_at((self.start + a) * d), b - a, d,
+                               self.scheme.delta, self.scheme.alpha)
+
+
 def draw_iid_rows(scheme: SamplingScheme, stream: SeededStream, start: int, stop: int,
                   threads: int = 1) -> np.ndarray:
-    """Rows ``start..stop-1`` of the i.i.d. design that ``stream`` defines.
+    """Rows ``start..stop-1`` of the i.i.d. design as one float64 array.
 
-    Row i takes doubles i*d .. (i+1)*d - 1 of ``stream.generator()``, so the
-    rows are the bytes of ``draw_delta_cube(stream.generator(), stop, ...)``
-    from row ``start`` on.  They are drawn in fixed ``_ROW_CHUNK``-row chunks,
-    each from its own counter offset, in the worker pool of ``_map_chunks``;
-    ``threads`` changes the wall time only.  ``start * d`` must be a multiple
-    of 4 (see :meth:`SeededStream.generator_at`).
+    They are drawn through :meth:`IidRows.rows` in fixed ``_ROW_CHUNK``-row
+    chunks in the worker pool of ``_map_chunks``; ``threads`` changes the
+    wall time only.
     """
-    d = scheme.dimension
-    out = np.empty((stop - start, d))
-
-    def fill(a: int, b: int) -> None:
-        out[a:b] = draw_delta_cube(stream.generator_at((start + a) * d), b - a, d,
-                                   scheme.delta, scheme.alpha)
-
-    _map_chunks(fill, stop - start, _ROW_CHUNK, threads)
-    return out
+    return _point_array(IidRows(scheme, stream, start, stop), threads)
 
 
 def _vertex_masks(gen: np.random.Generator, dimension: int, count: int) -> list[int]:

@@ -20,7 +20,7 @@ import numpy as np
 from .coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
 from .estimates import CoverageEstimate
 from .geometry import first_hit_index, log_unit_ball_volume
-from .sampling import SamplingScheme, TargetPrior, draw_iid_rows, sample_targets
+from .sampling import IidRows, SamplingScheme, TargetPrior, sample_targets
 from .streams import SeededStream
 
 __all__ = [
@@ -315,11 +315,13 @@ def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g:
     keep the sentinel without entering any distance computation, and if they
     alone exceed the allowed miss fraction the cell is infeasible outright.
 
-    Blocks double from 1024 points up to 2**16 (26 MB of float64 at d = 50),
-    so peak memory does not grow with ``n_cap``.  Each block is the next rows
-    of the stream's i.i.d. design (its offset is a multiple of 1024 rows) and
-    first hits are exact over prefixes, so the block schedule does not change
-    the result.
+    Blocks double from 1024 points up to 2**16, so peak memory does not grow
+    with ``n_cap``.  Each block is the next rows of the stream's i.i.d.
+    design (its offset is a multiple of 1024 rows), passed to the kernel as
+    an :class:`IidRows` row source, so it is drawn chunk by chunk into the
+    kernel's float32 rows (13 MB for 2**16 points at d = 50) with no float64
+    copy.  First hits are exact over prefixes, so the block schedule does
+    not change the result.
     """
     n_targets = targets.shape[0]
     allowed_misses = math.floor(g.gamma * n_targets)
@@ -336,8 +338,8 @@ def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g:
     block = 1024
     while grown < n_cap and unhit.size + (n_targets - int(np.count_nonzero(reachable))) > allowed_misses:
         m = min(block, n_cap - grown)
-        pts = draw_iid_rows(scheme, stream, grown, grown + m, threads)
-        sub = first_hit_index(targets[unhit], pts, r, threads=threads)
+        sub = first_hit_index(targets[unhit], IidRows(scheme, stream, grown, grown + m), r,
+                              threads=threads)
         found = sub <= m
         if found.any():
             hits[unhit[found]] = grown + sub[found]

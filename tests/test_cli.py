@@ -136,6 +136,19 @@ class TestValidation:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme, nmax, message", [
+        ("uniform", "5", "--hamming-nmax"),
+        ("sobol", "5", "--hamming-nmax"),
+        ("beta", "5", "--hamming-nmax"),
+        ("vertex", "0", "n_max"),
+    ], ids=["uniform", "sobol", "beta", "vertex-zero"])
+    def test_unread_or_bad_hamming_nmax_exits_2(self, tmp_path, capsys, scheme, nmax, message):
+        code, out = run(tmp_path, "o.csv", "design", "--dim", "3", "--n", "4", "--scheme", scheme,
+                        "--hamming-nmax", nmax, "--seed", "1")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ["coverage", "--dim", "3", "--n", "4", "--r", "0.3", "--scheme", "sobol",
          "--prior", "beta", "--alpha", "0.3", "--targets", "200"],

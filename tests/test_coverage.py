@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from cubecover.coverage import (
     product_form_approximation,
 )
 from cubecover.estimates import CoverageEstimate
-from cubecover.geometry import unit_ball_volume
-from cubecover.sampling import Design, SamplingScheme, TargetPrior, sample_design
+from cubecover.geometry import min_squared_distances, unit_ball_volume
+from cubecover.sampling import Design, SamplingScheme, TargetPrior, sample_design, sample_targets
 from cubecover.streams import SeededStream
 
 
@@ -263,3 +264,19 @@ class TestRecords:
         d2 = nearest_distance_sample(q, 3, 1000, SeededStream(29))
         assert d2.shape == (3, 1000)
         assert np.all(d2 >= 0)
+
+    def test_nearest_distance_sample_holds_no_float64_design(self):
+        # the kernel keeps 4 (d + 1) n bytes of float32 rows; the float64
+        # design alone would take 8 d n
+        d, n, m = 50, 50_000, 256
+        q, stream = uniform_query(d, 2.0, n), SeededStream(30)
+        tracemalloc.start()
+        try:
+            d2 = nearest_distance_sample(q, 1, m, stream, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * n
+        targets = sample_targets(q.prior, m, stream.child(1))
+        design = sample_design(q.scheme, n, stream.child(0))
+        assert np.array_equal(d2[0], min_squared_distances(targets, design.points))

@@ -21,6 +21,8 @@ from cubecover.geometry import (
     squared_distance,
     unit_ball_volume,
 )
+from cubecover.sampling import IidRows, SamplingScheme, draw_iid_rows
+from cubecover.streams import SeededStream
 
 
 def volume_by_recurrence(d):
@@ -277,6 +279,44 @@ class TestNearestDistanceEngines:
         rng = np.random.default_rng(17)
         min_squared_distances(rng.random((20, 4)), rng.random((64, 4)), engine="kdtree")
         assert calls == [1]
+
+
+class TestRowSource:
+    """A row source gives the kernels the bytes of the materialized design."""
+
+    @pytest.mark.parametrize("engine", ["blas", "kdtree"])
+    @pytest.mark.parametrize("d", [3, 12, 50])
+    @pytest.mark.parametrize("n", [9000, 20000])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_min_squared_distances_matches_the_array(self, engine, d, n, alpha):
+        scheme, stream = SamplingScheme.beta(d, alpha, 0.8), SeededStream(21, d)
+        targets = np.random.default_rng(d).random((150, d))
+        rows = IidRows(scheme, stream, 0, n)
+        assert rows.shape == (n, d)
+        ref = min_squared_distances(targets, draw_iid_rows(scheme, stream, 0, n), engine=engine)
+        for threads in (1, 3):
+            got = min_squared_distances(targets, rows, engine=engine, threads=threads)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_first_hit_from_an_offset_matches_the_array(self, threads):
+        d, start, stop, r = 20, 1024, 1024 + 9000, 1.0
+        scheme, stream = SamplingScheme.uniform(d), SeededStream(22)
+        targets = np.random.default_rng(3).random((1500, d))
+        ref = first_hit_index(targets, draw_iid_rows(scheme, stream, start, stop), r)
+        got = first_hit_index(targets, IidRows(scheme, stream, start, stop), r, threads=threads)
+        assert 0 < np.count_nonzero(ref <= stop - start) < targets.shape[0]
+        assert np.array_equal(got, ref)
+
+    def test_bad_start_raises(self):
+        scheme, stream = SamplingScheme.uniform(5), SeededStream(23)
+        targets = np.random.default_rng(4).random((10, 5))
+        rows = IidRows(scheme, stream, 1025, 2000)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            first_hit_index(targets, rows, 0.5)
+        for engine in ("blas", "kdtree"):
+            with pytest.raises(ValueError, match="multiple of 4"):
+                min_squared_distances(targets, rows, engine=engine)
 
 
 def _run_fresh(script: str) -> None:
