@@ -163,30 +163,31 @@ def _map_chunks(fn, n_items: int, chunk: int, threads: int) -> list:
 
 
 def _as_points(points):
-    """A row source as it is; anything else as a float64 ``(n, d)`` array.
+    """``(read, (n, d), array)`` for ``points``; ``read(a, b)`` gives float64 rows a..b-1.
 
-    A row source is recognised by its ``.rows`` method, so this module needs
-    no import of the types that provide one.
+    A row source is recognised by its ``.rows`` method, which becomes
+    ``read``, and ``array`` is None; this is the one place the module tells
+    the two apart, and it needs no import of the types that provide one.
+    Anything else is taken as a float64 ``(n, d)`` ``array``, read by slicing.
     """
     if hasattr(points, "rows"):
-        return points
-    return np.atleast_2d(np.asarray(points, dtype=np.float64))
+        return points.rows, points.shape, None
+    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return (lambda a, b: P[a:b]), P.shape, P
 
 
-def _point_array(points, threads: int = 1) -> np.ndarray:
-    """The output of :func:`_as_points` as one float64 array.
+def _point_array(read, shape: tuple[int, int], threads: int = 1) -> np.ndarray:
+    """All rows of an :func:`_as_points` reader as one float64 array.
 
-    An array is returned as it is; a row source is read in ``_ROW_CHUNK``-row
-    chunks in the worker pool of ``_map_chunks``.
+    Rows are read in ``_ROW_CHUNK``-row chunks in the worker pool of
+    ``_map_chunks``.
     """
-    if isinstance(points, np.ndarray):
-        return points
-    out = np.empty(points.shape)
+    out = np.empty(shape)
 
     def fill(a: int, b: int) -> None:
-        out[a:b] = points.rows(a, b)
+        out[a:b] = read(a, b)
 
-    _map_chunks(fill, out.shape[0], _ROW_CHUNK, threads)
+    _map_chunks(fill, shape[0], _ROW_CHUNK, threads)
     return out
 
 
@@ -210,7 +211,7 @@ class _CentredExpansion:
     float32 GEMM with no further pass over it.  Callers add ||u'||^2 after
     reducing over the points.  The point rows are filled, and tiles of one
     call computed, in the shared worker pool of ``_map_chunks``; each
-    ``_ROW_CHUNK``-row chunk is read from ``points`` (an array or a row source)
+    ``_ROW_CHUNK``-row chunk is taken from ``read`` (see :func:`_as_points`)
     only when it is filled, so a row source is never held whole in float64.
 
     Centring halves each coordinate's magnitude, and the rounding error of the
@@ -219,11 +220,10 @@ class _CentredExpansion:
     four-fold against the uncentred form on [0, 1]^d.
     """
 
-    def __init__(self, points, point_chunk: int, threads: int):
-        self.n, d = points.shape
+    def __init__(self, read, shape: tuple[int, int], point_chunk: int, threads: int):
+        self.n, d = shape
         self.pa = np.empty((self.n, d + 1), dtype=np.float32)
         self.point_chunk = point_chunk
-        read = points.rows if hasattr(points, "rows") else lambda a, b: points[a:b]
 
         def fill(a: int, b: int) -> None:
             rows = self.pa[a:b]
@@ -293,8 +293,7 @@ def min_squared_distances(
     float64 array of shape (m,), clipped at zero.
     """
     T = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    P = _as_points(points)
-    n, d = P.shape
+    read, (n, d), array = _as_points(points)
     if n == 0:
         raise ValueError("point set is empty")
     if T.shape[1] != d:
@@ -304,13 +303,14 @@ def min_squared_distances(
         engine = "kdtree" if d <= _KDTREE_MAX_DIM and n >= 32 else "blas"
 
     if engine == "kdtree":
-        tree = sys.modules[__name__].cKDTree(_point_array(P, threads))  # resolved now: see __getattr__
+        tree = sys.modules[__name__].cKDTree(  # resolved now: see __getattr__
+            _point_array(read, (n, d), threads) if array is None else array)
         dist, _ = tree.query(T, k=1, workers=max(threads, 1))
         return np.asarray(dist, dtype=np.float64) ** 2
     if engine != "blas":
         raise ValueError(f"unknown engine {engine!r}")
 
-    ex = _CentredExpansion(P, point_chunk, threads)
+    ex = _CentredExpansion(read, (n, d), point_chunk, threads)
 
     def block(a: int, b: int) -> np.ndarray:
         t, tnorm = ex.targets(T[a:b])
@@ -344,10 +344,10 @@ def first_hit_index(
     ``(n, d)`` array or a row source, read as in ``min_squared_distances``.
     """
     T = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    P = _as_points(points)
-    if T.shape[1] != P.shape[1]:
-        raise ValueError(f"dimension mismatch: {T.shape[1]} vs {P.shape[1]}")
-    ex = _CentredExpansion(P, point_chunk, threads)
+    read, shape, _ = _as_points(points)
+    if T.shape[1] != shape[1]:
+        raise ValueError(f"dimension mismatch: {T.shape[1]} vs {shape[1]}")
+    ex = _CentredExpansion(read, shape, point_chunk, threads)
     r2 = np.float32(float(radius) ** 2)
 
     def block(a: int, b: int) -> np.ndarray:

@@ -191,6 +191,10 @@ class IidRows:
     start: int
     stop: int
 
+    def __post_init__(self):
+        if not self.scheme.is_iid:
+            raise ValueError(f"row sources need an i.i.d. scheme, got {self.scheme.kind.value}")
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.stop - self.start, self.scheme.dimension
@@ -209,7 +213,8 @@ def draw_iid_rows(scheme: SamplingScheme, stream: SeededStream, start: int, stop
     chunks in the worker pool of ``_map_chunks``; ``threads`` changes the
     wall time only.
     """
-    return _point_array(IidRows(scheme, stream, start, stop), threads)
+    rows = IidRows(scheme, stream, start, stop)
+    return _point_array(rows.rows, rows.shape, threads)
 
 
 def _vertex_masks(gen: np.random.Generator, dimension: int, count: int) -> list[int]:
@@ -236,21 +241,19 @@ def _masks_to_points(masks: list[int], dimension: int) -> np.ndarray:
     return 0.25 + 0.5 * bits  # vertices of [1/4, 3/4]^d
 
 
-def sample_design(scheme: SamplingScheme, n: int, stream: SeededStream, *,
-                  threads: int = 1) -> Design:
+def sample_design(scheme: SamplingScheme, n: int, stream: SeededStream) -> Design:
     """Draw an n-point design according to ``scheme``.
 
     An i.i.d. design is ``draw_delta_cube(stream.generator(), n, ...)``,
-    drawn in chunks over ``threads`` workers by :func:`draw_iid_rows`.  Sobol
-    designs ignore the stream (they are deterministic); the vertex design
-    places the cube centre first and then n-1 distinct random vertices of
-    [1/4, 3/4]^d.
+    drawn in chunks by :func:`draw_iid_rows`.  Sobol designs ignore the
+    stream (they are deterministic); the vertex design places the cube
+    centre first and then n-1 distinct random vertices of [1/4, 3/4]^d.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 points, got {n}")
     d = scheme.dimension
     if scheme.is_iid:
-        pts = draw_iid_rows(scheme, stream, 0, n, threads)
+        pts = draw_iid_rows(scheme, stream, 0, n)
     elif scheme.kind is SchemeKind.SOBOL_DELTA_CUBE:
         pts = 0.5 + scheme.delta * (sobol_points(d, n) - 0.5)
     elif scheme.kind is SchemeKind.VERTEX_DESIGN:

@@ -318,6 +318,24 @@ class TestRowSource:
             with pytest.raises(ValueError, match="multiple of 4"):
                 min_squared_distances(targets, rows, engine=engine)
 
+    def test_kdtree_keeps_an_array_input_uncopied(self, monkeypatch):
+        built = []
+        real = geometry_module.cKDTree
+
+        def recording(data, *args, **kwargs):
+            built.append(data)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(geometry_module, "cKDTree", recording)
+        points = np.random.default_rng(5).random((9000, 4))
+        min_squared_distances(points[:10], points, engine="kdtree", threads=2)
+        assert built[0] is points
+
+    @pytest.mark.parametrize("scheme", [SamplingScheme.sobol(5), SamplingScheme.vertex(5)])
+    def test_non_iid_scheme_raises(self, scheme):
+        with pytest.raises(ValueError, match="i.i.d. scheme"):
+            IidRows(scheme, SeededStream(24), 0, 16)
+
 
 def _run_fresh(script: str) -> None:
     """Run ``script`` in a new interpreter that imports this source tree."""

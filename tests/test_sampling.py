@@ -53,10 +53,11 @@ class TestChunkedDraw:
     def test_equals_the_serial_draw(self, d, alpha):
         n = 8192 + 77  # two row chunks, the second one short
         stream = SeededStream(7, d)
+        scheme = SamplingScheme.beta(d, alpha, 0.8)
         serial = draw_delta_cube(stream.generator(), n, d, 0.8, alpha)
+        assert np.array_equal(sample_design(scheme, n, stream).points, serial)
         for threads in (1, 2, 3):
-            des = sample_design(SamplingScheme.beta(d, alpha, 0.8), n, stream, threads=threads)
-            assert np.array_equal(des.points, serial)
+            assert np.array_equal(draw_iid_rows(scheme, stream, 0, n, threads=threads), serial)
 
     def test_rows_from_an_offset(self):
         scheme, stream = SamplingScheme.uniform(5, 0.6), SeededStream(8)
