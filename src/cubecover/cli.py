@@ -275,7 +275,7 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
     query = CoverageQuery(d, max(r_values), n, scheme, prior)
     # a Sobol or vertex run scores one design, not an average over design draws
     d2 = nearest_distance_sample(query, n_designs if scheme.is_iid else 1, n_targets, stream,
-                                 threads=threads)
+                                 threads=threads, settle_radius=min(r_values))
     method = "design_averaged" if scheme.is_iid else "design_conditional"
     if with_bounds:
         pairs = _paired_distance_sample(query, max(n_targets, 10_000), stream.child(7))
@@ -485,20 +485,21 @@ def cmd_delta_sweep(p: Params) -> tuple[list[str], list[list]]:
 
 def cmd_design(p: Params) -> tuple[list[str], list[list]]:
     d = p.require("dim")
-    n = p.require("n")
     seed = p.require("seed")
     scheme = _scheme(p, d)
     stream = SeededStream(seed)
     hamming_nmax = p.get("hamming_nmax")
-    if hamming_nmax is not None and scheme.kind is not SchemeKind.VERTEX_DESIGN:
-        raise CliError(f"--hamming-nmax is read only by --scheme vertex, "
-                       f"not by --scheme {p.get('scheme', 'uniform')}")
-    if hamming_nmax is not None:
+    if hamming_nmax is None:
+        design = sample_design(scheme, p.require("n"), stream)
+    else:
+        if scheme.kind is not SchemeKind.VERTEX_DESIGN:
+            raise CliError(f"--hamming-nmax is read only by --scheme vertex, "
+                           f"not by --scheme {p.get('scheme', 'uniform')}")
+        if p.get("n") is not None:
+            raise CliError("--n is not read with --hamming-nmax, which finds the design size itself")
         design = min_hamming_vertex_design(d, hamming_nmax, stream)
         if design.shortfall:
             print(f"[cubecover] hamming design shortfall: only {design.n} points found", file=sys.stderr)
-    else:
-        design = sample_design(scheme, n, stream)
     columns = [f"x{j}" for j in range(d)]
     return columns, [list(map(float, row)) for row in design.points]
 

@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 
+# Largest float64 block of inner Monte Carlo draws that coverage_product_form
+# holds at once; its peak memory is set by this, not by ``inner``.
+_MC_BLOCK_BYTES = 16 << 20
+
+
 @dataclass(frozen=True)
 class CoverageQuery:
     """Arguments of F_d(r, X_n) bundled together."""
@@ -81,13 +86,15 @@ def coverage_design_conditional(query: CoverageQuery, design: Design, n_targets:
     if design.dimension != query.dimension:
         raise ValueError("design dimension does not match the query")
     targets = sample_targets(query.prior, n_targets, stream)
-    d2 = min_squared_distances(targets, design.points, threads=threads)
-    p = float(np.count_nonzero(d2 <= query.radius**2)) / n_targets
+    r2 = query.radius**2
+    d2 = min_squared_distances(targets, design.points, threads=threads, settle=r2)
+    p = float(np.count_nonzero(d2 <= r2)) / n_targets
     return CoverageEstimate(p, binomial_std_error(p, n_targets), n_targets, 1, "design_conditional")
 
 
 def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int,
-                            stream: SeededStream, *, threads: int = 1) -> np.ndarray:
+                            stream: SeededStream, *, threads: int = 1,
+                            settle_radius: float = 0.0) -> np.ndarray:
     """Squared nearest-design-point distances, shape (n_designs, n_targets).
 
     The whole radius dependence of design-averaged coverage lives in one
@@ -96,9 +103,20 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
     statistics.  An i.i.d. design goes to the kernel as an :class:`IidRows`
     row source, so its rows are drawn chunk by chunk into the kernel's
     float32 rows and no float64 copy of it is ever held.
+
+    A caller that reads the sample only through ``d2 <= r * r`` for radii
+    ``r >= settle_radius`` passes the smallest such radius: the kernel then
+    stops scanning a target once it is within ``settle_radius`` of the
+    design (``settle`` of :func:`cubecover.geometry.min_squared_distances`).
+    Such a target keeps a partial minimum ``<= settle_radius**2``, so every
+    one of those comparisons decides as at ``settle_radius = 0``, but order
+    statistics and maxima below ``settle_radius`` are not kept; the radius
+    solvers and :func:`approx_covering_radius` leave it at 0.
     """
     if n_designs < 1 or n_targets < 1:
         raise ValueError("n_designs and n_targets must be >= 1")
+    if not settle_radius >= 0.0:
+        raise ValueError(f"settle_radius must be >= 0, got {settle_radius}")
     scheme, n = query.scheme, query.n_points
     out = np.empty((n_designs, n_targets))
     for k in range(n_designs):
@@ -106,7 +124,8 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
         points = IidRows(scheme, design_stream, 0, n) if scheme.is_iid else \
             sample_design(scheme, n, design_stream).points
         targets = sample_targets(query.prior, n_targets, stream.child(2 * k + 1))
-        out[k] = min_squared_distances(targets, points, threads=threads)
+        out[k] = min_squared_distances(targets, points, threads=threads,
+                                       settle=settle_radius * settle_radius)
     return out
 
 
@@ -131,7 +150,8 @@ def coverage_design_averaged(query: CoverageQuery, n_designs: int, n_targets: in
     """
     if query.scheme.kind is SchemeKind.SOBOL_DELTA_CUBE:
         raise ValueError("design averaging over the deterministic Sobol scheme is meaningless")
-    d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
+    d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads,
+                                 settle_radius=query.radius)
     return _averaged_estimate(d2, query.radius)
 
 
@@ -170,16 +190,26 @@ def coverage_product_form(query: CoverageQuery, n_targets: int, inner: int,
 
 def _inner_mc_probabilities(targets: np.ndarray, delta: float, alpha: float, r: float,
                             inner: int, stream: SeededStream, target_chunk: int) -> np.ndarray:
+    """Per-target inner Monte Carlo estimates of P_X{||u - X|| <= r}.
+
+    Chunk ``c`` of ``target_chunk`` targets draws its ``inner`` points per
+    target from ``stream.jumped(c)``, in sub-batches of targets whose float64
+    block fits ``_MC_BLOCK_BYTES``.  Consecutive draws from one generator
+    continue one sequence, so the sub-batch size does not change the result.
+    """
     m, d = targets.shape
     r2 = r * r
     p = np.empty(m)
+    step = max(1, _MC_BLOCK_BYTES // (8 * inner * d))
     for c, a in enumerate(range(0, m, target_chunk)):
         b = min(a + target_chunk, m)
         gen = stream.jumped(c)
-        x = draw_delta_cube(gen, (b - a) * inner, d, delta, alpha).reshape(b - a, inner, d)
-        x -= targets[a:b, None, :]
-        d2 = np.square(x, out=x).sum(axis=2)
-        p[a:b] = (d2 <= r2).mean(axis=1)
+        for s in range(a, b, step):
+            e = min(s + step, b)
+            x = draw_delta_cube(gen, (e - s) * inner, d, delta, alpha).reshape(e - s, inner, d)
+            x -= targets[s:e, None, :]
+            d2 = np.square(x, out=x).sum(axis=2)
+            p[s:e] = (d2 <= r2).mean(axis=1)
     return p
 
 

@@ -37,6 +37,10 @@ _KDTREE_MAX_DIM = 10
 # so the chunk schedule depends only on the number of rows.
 _ROW_CHUNK = 8192
 
+# Fewest multiply-adds in a tile product cut down to a block's active rows;
+# see _CentredExpansion.sweep.
+_MIN_GEMM_WORK = 1 << 20
+
 
 def __getattr__(name: str):
     # Only the KD-tree engine needs scipy.spatial, which is slow to import, so
@@ -253,9 +257,48 @@ class _CentredExpansion:
         t, c = self.centre(u)
         return t, np.einsum("ij,ij->i", c, c)
 
-    def tile(self, t: np.ndarray, j: int) -> np.ndarray:
-        """||x'||^2 - 2 u'.x' for augmented targets ``t`` and the chunk at point ``j``."""
-        return t @ self.pa[j:j + self.point_chunk].T
+    def sweep(self, t: np.ndarray, visit) -> None:
+        """Walk the point tiles of augmented targets ``t``, dropping finished rows.
+
+        ``visit(j, rows, tile)`` gets the point offset ``j``, the indices
+        ``rows`` into ``t`` of the targets still active, in order, and their
+        tile ||x'||^2 - 2 u'.x' against the chunk at ``j``; it returns a
+        boolean mask over ``rows`` of the targets that need no later tile.
+        The walk stops once no target is active.
+
+        Each tile is one product of the active rows of ``t``, padded with
+        finished rows (whose results are not passed on) to at least two rows
+        and ``_MIN_GEMM_WORK`` multiply-adds, or to all of ``t`` if that is
+        fewer.  BLAS sends one-row products to gemv and, in OpenBLAS's
+        AVX-512 builds, products of at most 1e6 multiply-adds with at most
+        1200 outputs to a small-matrix kernel; both round differently from
+        the blocked GEMM, which gives a row the same bits whichever rows
+        share its product.  So an active target's tile is bit for bit the
+        one it gets when no row has dropped out.
+        """
+        m, k = t.shape
+        live = np.ones(m, dtype=bool)
+        n_live, stale = m, False
+        order, sub = np.arange(m), t  # sub is t[order]: live rows in order, then padding
+        # one buffer for all tiles: tiles of ever fewer rows, each allocated
+        # afresh, left about 8 MB more resident at d = 50, n = 1e5
+        buf = np.empty(m * min(self.n, self.point_chunk), dtype=np.float32)
+        for j in range(0, self.n, self.point_chunk):
+            pts = self.pa[j:j + self.point_chunk]
+            floor = min(m, max(2, -(-_MIN_GEMM_WORK // (pts.shape[0] * k))))
+            if stale or order.size != max(n_live, floor):
+                order = np.argsort(~live, kind="stable")[:max(n_live, floor)]
+                sub, stale = t[order], False
+            rows = order[:n_live]
+            tile = buf[:sub.shape[0] * pts.shape[0]].reshape(sub.shape[0], pts.shape[0])
+            np.matmul(sub, pts.T, out=tile)
+            done = visit(j, rows, tile[:n_live])
+            if done.any():
+                live[rows[done]] = False
+                n_live -= int(np.count_nonzero(done))
+                stale = True
+                if n_live == 0:
+                    return
 
 
 def min_squared_distances(
@@ -266,6 +309,7 @@ def min_squared_distances(
     target_chunk: int = 1024,
     point_chunk: int = 2048,
     engine: str = "auto",
+    settle: float = 0.0,
 ) -> np.ndarray:
     """Squared distance from each target to its nearest point in ``points``.
 
@@ -287,6 +331,14 @@ def min_squared_distances(
         practical option in high dimension; "auto" uses a KD-tree for d <= 10.
         Its error against float64 is of order
         eps32 * d * (||u'||^2 + max ||x'||^2), eps32 = 2**-23.
+    settle : a squared distance below which the exact minimum is not needed.
+        The BLAS engine stops scanning a target's later point tiles once its
+        running minimum, as the float32 sum it would return, is ``<= settle``,
+        and returns that partial minimum.  Every other target gets bit for
+        bit the value of a ``settle=0`` call.  A later tile can only lower a
+        value, so for every ``r2 >= settle`` the test ``d2 <= r2`` decides as
+        the full scan does; order statistics and maxima below ``settle`` are
+        not kept.  The KD-tree engine returns exact minima and ignores it.
 
     Returns
     -------
@@ -315,8 +367,14 @@ def min_squared_distances(
     def block(a: int, b: int) -> np.ndarray:
         t, tnorm = ex.targets(T[a:b])
         best = np.full(b - a, np.inf, dtype=np.float32)
-        for j in range(0, ex.n, point_chunk):
-            np.minimum(best, ex.tile(t, j).min(axis=1), out=best)
+
+        def visit(j: int, rows: np.ndarray, tile: np.ndarray) -> np.ndarray:
+            low = np.minimum(best[rows], tile.min(axis=1))
+            best[rows] = low
+            # the float32 sum the kernel returns, compared in float64
+            return (low + tnorm[rows]).astype(np.float64) <= settle
+
+        ex.sweep(t, visit)
         best += tnorm
         return best
 
@@ -340,7 +398,9 @@ def first_hit_index(
     "covered by the first n points", which makes coverage monotone in n under
     common random numbers.  Hit decisions are made in float32 with the
     centred expansion of ``min_squared_distances``, so a pair within its
-    rounding error of ``radius`` may be decided either way.  ``points`` is an
+    rounding error of ``radius`` may be decided either way, though never
+    differently for having block-mates already hit (see
+    ``_CentredExpansion.sweep``).  ``points`` is an
     ``(n, d)`` array or a row source, read as in ``min_squared_distances``.
     """
     T = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -354,16 +414,14 @@ def first_hit_index(
         t, tnorm = ex.targets(T[a:b])
         slack = r2 - tnorm  # hit iff ||x'||^2 - 2 u'.x' <= r^2 - ||u'||^2
         hit = np.full(b - a, ex.n + 1, dtype=np.int64)
-        active = np.arange(b - a)
-        for j in range(0, ex.n, point_chunk):
-            if active.size == 0:
-                break
-            hits = ex.tile(t[active], j) <= slack[active, None]
+
+        def visit(j: int, rows: np.ndarray, tile: np.ndarray) -> np.ndarray:
+            hits = tile <= slack[rows, None]
             got = hits.any(axis=1)
-            if got.any():
-                rows = active[got]
-                hit[rows] = j + 1 + np.argmax(hits[got], axis=1)
-                active = active[~got]
+            hit[rows[got]] = j + 1 + np.argmax(hits[got], axis=1)
+            return got
+
+        ex.sweep(t, visit)
         return hit
 
     parts = _map_chunks(block, T.shape[0], target_chunk, threads)

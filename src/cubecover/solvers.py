@@ -212,7 +212,8 @@ def delta_sweep(
         # the same stream at every delta: the grid is compared on coupled
         # draws, not refreshed ones
         query = CoverageQuery(d, r, n, scheme, prior)
-        d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
+        d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads,
+                                     settle_radius=r)
         est = _averaged_estimate(d2, r)
         grid.append((delta, est))
         if est.value >= best_cov:  # >= so ties break toward larger delta

@@ -5,7 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubecover.cli import _COMMANDS, _FIELDS, _build_parser, main
+from cubecover.cli import (
+    _COMMANDS,
+    _FIELDS,
+    _asymptotic_coverage,
+    _build_parser,
+    _emit,
+    _parse_grid,
+    main,
+)
+from cubecover.coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
 from cubecover.solvers import radius_best_delta
 from cubecover.streams import SeededStream
 
@@ -29,10 +38,18 @@ class TestDesignCommand:
 
     def test_vertex_hamming_dump(self, tmp_path):
         code, out = run(tmp_path, "v.csv", "design", "--scheme", "vertex", "--dim", "8",
-                        "--n", "5", "--hamming-nmax", "5", "--seed", "3")
+                        "--hamming-nmax", "5", "--seed", "3")
         assert code == 0
         rows = out.read_text().splitlines()[2:]
         assert rows[0] == ",".join(["0.5"] * 8)
+
+    def test_vertex_hamming_rejects_unread_n(self, tmp_path, capsys):
+        # the Hamming design finds its own size, so --n would go unread
+        code, out = run(tmp_path, "v.csv", "design", "--scheme", "vertex", "--dim", "8",
+                        "--n", "5", "--hamming-nmax", "5", "--seed", "3")
+        assert code == 2
+        assert "--n is not read" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCoverageCommand:
@@ -43,6 +60,30 @@ class TestCoverageCommand:
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[0] == "r"
         assert lines[2].split(",")[1] == "0"
+
+    def test_settled_scan_gives_the_full_scan_output(self, tmp_path):
+        # coverage settles targets at the smallest grid radius; its file must
+        # be the one the full-scan sample gives
+        d, n, n_targets, seed, grid = 12, 3000, 3000, 9, "0.5:0.65:0.05"
+        code, out = run(tmp_path, "c.csv", "coverage", "--dim", str(d), "--n", str(n),
+                        "--r-grid", grid, "--targets", str(n_targets), "--seed", str(seed))
+        assert code == 0
+        r_values = _parse_grid(grid)
+        query = CoverageQuery.uniform(d, max(r_values), n)
+        full = nearest_distance_sample(query, 2, n_targets, SeededStream(seed))
+        settled = nearest_distance_sample(query, 2, n_targets, SeededStream(seed),
+                                          settle_radius=min(r_values))
+        assert not np.array_equal(settled, full)  # the early exit did happen
+        rows = []
+        for r in r_values:
+            est = _averaged_estimate(full, r)
+            rows.append([r, est.value, est.std_error, "design_averaged",
+                         _asymptotic_coverage(d, n, r)])
+        assert 0.05 < rows[0][1] and rows[-1][1] < 0.95
+        expected = tmp_path / "expected.csv"
+        _emit(str(expected), "coverage", seed,
+              ["r", "coverage", "std_error", "method", "asymptotic"], rows)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_jsonl_output(self, tmp_path):
         code, out = run(tmp_path, "c.jsonl", "coverage", "--dim", "2", "--n", "5",
@@ -143,7 +184,7 @@ class TestValidation:
         ("vertex", "0", "n_max"),
     ], ids=["uniform", "sobol", "beta", "vertex-zero"])
     def test_unread_or_bad_hamming_nmax_exits_2(self, tmp_path, capsys, scheme, nmax, message):
-        code, out = run(tmp_path, "o.csv", "design", "--dim", "3", "--n", "4", "--scheme", scheme,
+        code, out = run(tmp_path, "o.csv", "design", "--dim", "3", "--scheme", scheme,
                         "--hamming-nmax", nmax, "--seed", "1")
         assert code == 2
         assert message in capsys.readouterr().err

@@ -4,8 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cubecover.coverage as coverage_module
 from cubecover.coverage import (
+    _MC_BLOCK_BYTES,
     CoverageQuery,
+    _inner_mc_probabilities,
     _paired_distance_sample,
     _product_form_estimate,
     approx_covering_radius,
@@ -138,6 +141,29 @@ class TestProductForm:
         q = uniform_query(5, 0.45, 5000)
         pf = coverage_product_form(q, 500, 50, SeededStream(18), method="mc")
         assert pf.bias_flagged
+
+    def test_inner_mc_memory_set_by_budget(self):
+        # 128 targets x 2000 inner draws x 50 coordinates make a 102 MB
+        # float64 block; drawn in sub-batches, the peak stays near the budget
+        d, inner = 50, 2000
+        targets = np.random.default_rng(31).random((128, d))
+        tracemalloc.start()
+        try:
+            _inner_mc_probabilities(targets, 1.0, 1.0, 2.0, inner, SeededStream(32), 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _MC_BLOCK_BYTES
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+    def test_inner_mc_sub_batches_do_not_change_probabilities(self, monkeypatch, alpha):
+        inner, d = 500, 6
+        targets = np.random.default_rng(33).random((300, d))
+        args = (targets, 0.8, alpha, 0.7, inner, SeededStream(34), 128)
+        monkeypatch.setattr(coverage_module, "_MC_BLOCK_BYTES", 1 << 40)  # one draw per chunk
+        whole = _inner_mc_probabilities(*args)
+        monkeypatch.setattr(coverage_module, "_MC_BLOCK_BYTES", 7 * inner * d * 8)  # 7 targets
+        assert np.array_equal(_inner_mc_probabilities(*args), whole)
 
 
 class TestJensenBounds:

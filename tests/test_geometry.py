@@ -281,6 +281,68 @@ class TestNearestDistanceEngines:
         assert calls == [1]
 
 
+class TestSettleBound:
+    """``settle`` ends a target's scan early without changing any d2 <= r2 >= settle."""
+
+    @pytest.mark.parametrize("d", [2, 3, 11, 20, 50])
+    @pytest.mark.parametrize("target_chunk", [1024, 7, 2, 1])
+    def test_unsettled_targets_keep_their_bits(self, d, target_chunk):
+        rng = np.random.default_rng(40 + d)
+        targets = rng.random((240, d))
+        points = rng.random((2500, d))
+        # small point tiles, so targets settle after a few of many tiles
+        kwargs = dict(engine="blas", target_chunk=target_chunk, point_chunk=200)
+        for threads in (1, 2):
+            ref = min_squared_distances(targets, points, threads=threads, **kwargs)
+            for q in (0.05, 0.3, 0.7, 0.95, 0.999):
+                settle = float(np.quantile(ref, q))
+                got = min_squared_distances(targets, points, threads=threads, settle=settle, **kwargs)
+                settled = got <= settle
+                assert np.array_equal(settled, ref <= settle)
+                assert np.array_equal(got[~settled], ref[~settled])
+                assert np.all(got >= ref)
+
+    def test_settled_targets_skip_later_tiles(self):
+        # a point copied into every target sits in the first tile, so every
+        # target settles there and keeps the first tile's minimum
+        rng = np.random.default_rng(47)
+        points = rng.random((4000, 20))
+        targets = points[:300] + 1e-3
+        first_tile = min_squared_distances(targets, points[:512], engine="blas", point_chunk=512)
+        got = min_squared_distances(targets, points, engine="blas", point_chunk=512, settle=0.01)
+        assert np.array_equal(got, first_tile)
+
+    def test_kdtree_ignores_settle(self):
+        rng = np.random.default_rng(48)
+        targets, points = rng.random((400, 4)), rng.random((3000, 4))
+        ref = min_squared_distances(targets, points, engine="kdtree")
+        got = min_squared_distances(targets, points, engine="kdtree", settle=float(np.median(ref)))
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("d", [20, 50])
+    def test_first_hit_does_not_depend_on_hit_block_mates(self, d):
+        # block A pairs each target with far-away targets that are never hit;
+        # block B with copies of first-tile points, hit at once, so the target
+        # is left alone for every later tile; radii sit within float32
+        # rounding of its nearest distance, where the tile's bits decide
+        rng = np.random.default_rng(49 + d)
+        points = rng.random((2000, d))
+        far = 5.0 + rng.random((15, d))
+        targets = rng.random((40, d))
+        exact = ((targets[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        later = np.argmin(exact, axis=1) >= 64  # nearest point beyond the first tile
+        for u, dist in list(zip(targets[later], exact[later]))[:12]:
+            block_a = np.vstack([u, far])
+            block_b = np.vstack([u, points[:15]])
+            for scale in 1.0 + 2e-7 * np.arange(-25, 26):
+                r = math.sqrt(dist.min() * scale)
+                kwargs = dict(point_chunk=64, target_chunk=16)
+                a = first_hit_index(block_a, points, r, **kwargs)
+                b = first_hit_index(block_b, points, r, **kwargs)
+                assert np.all(a[1:] == 2001) and np.all(b[1:] <= 15)
+                assert a[0] == b[0]
+
+
 class TestRowSource:
     """A row source gives the kernels the bytes of the materialized design."""
 
