@@ -51,6 +51,7 @@ from .solvers import (
     GammaLevel,
     LargeCount,
     NGammaResult,
+    RadiusCell,
     asymptotic_radius,
     default_delta_grid,
     delta_sweep,
@@ -60,6 +61,7 @@ from .solvers import (
     n_gamma_asymptotic,
     n_gamma_classical,
     radius_best_delta,
+    radius_table_cell,
     worst_case_n_mixture,
 )
 from .streams import SeededStream

@@ -53,7 +53,7 @@ from .solvers import (
     empirical_n_gamma_best_delta,
     empirical_radius_quantile,
     n_gamma_asymptotic,
-    radius_best_delta,
+    radius_table_cell,
 )
 from .streams import SeededStream
 
@@ -141,7 +141,8 @@ def _convert(name: str, text: str, where: str):
     return value
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, fields) -> dict:
+    """``key = value`` (or ``key: value``) lines; every key must be one of ``fields``."""
     cfg = {}
     try:
         with open(path) as fh:
@@ -155,6 +156,9 @@ def _load_config(path: str) -> dict:
                         key = key.strip().replace("-", "_")
                         if key not in _FIELDS or key == "config":
                             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+                        if key not in fields:
+                            raise CliError(f"{path}:{lineno}: config key {key!r} is not read "
+                                           f"by this command")
                         cfg[key] = _convert(key, val.strip(), f"{path}:{lineno}: {key}")
                         break
                 else:
@@ -169,7 +173,8 @@ class Params:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.cfg = _load_config(args.config) if args.config else {}
+        fields = (*_COMMANDS[args.command][1], *_COMMON)
+        self.cfg = _load_config(args.config, fields) if args.config else {}
 
     def get(self, name: str, default=None):
         # no getattr default: reading a field the command does not declare fails
@@ -334,19 +339,10 @@ def cmd_table1(p: Params) -> tuple[list[str], list[list]]:
     columns = ["d", "n", "gamma", "r_full_cube", "r_delta_cube", "delta_star", "warning"]
     rows = []
     for idx, (d, n) in enumerate(cells):
-        cell_stream = stream.child(idx)
-        prior = TargetPrior.uniform(d)
-        r_full = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, 1.0), prior, gamma,
-                                           cell_stream.child(0), n_targets=n_targets,
-                                           n_designs=n_designs, threads=threads)
-        best_delta, _ = radius_best_delta(d, n, gamma, deltas, cell_stream.child(1),
-                                          n_targets=sweep_targets, threads=threads)
-        # refine the winning delta at the full budget
-        r_best = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, best_delta), prior, gamma,
-                                           cell_stream.child(2), n_targets=n_targets,
-                                           n_designs=n_designs, threads=threads)
+        cell = radius_table_cell(d, n, gamma, deltas, stream.child(idx), n_targets=n_targets,
+                                 n_designs=n_designs, sweep_targets=sweep_targets, threads=threads)
         warning = "low-budget" if gamma * n_targets < 200 else ""
-        rows.append([d, n, gamma, r_full, r_best, best_delta, warning])
+        rows.append([d, n, gamma, cell.r_full_cube, cell.r_delta_cube, cell.delta_star, warning])
     return columns, rows
 
 
@@ -505,7 +501,8 @@ def cmd_design(p: Params) -> tuple[list[str], list[list]]:
 
 
 _SCHEME = ("scheme", "delta", "alpha")
-_COMMANDS = {  # command: (function, the fields it reads besides seed, threads, out, config)
+_COMMON = ("seed", "threads", "out")  # read by every command, as is --config
+_COMMANDS = {  # command: (function, the fields it reads besides _COMMON and config)
     "coverage": (cmd_coverage, ("dim", "n", "r", "r_grid", *_SCHEME, "prior", "targets",
                                 "designs", "bounds")),
     "table1": (cmd_table1, ("gamma", "cells", "targets", "designs", "sweep_targets",
@@ -530,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, fields) in _COMMANDS.items():
         # no abbreviations: ngamma --r must not become --r-grid
         sp = sub.add_parser(command, allow_abbrev=False)
-        for name in (*fields, "seed", "threads", "out", "config"):
+        for name in (*fields, *_COMMON, "config"):
             if _FIELDS[name] is _bool:
                 sp.add_argument(_flag(name), dest=name, action="store_const", const="1")
             else:

@@ -109,9 +109,13 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
     stops scanning a target once it is within ``settle_radius`` of the
     design (``settle`` of :func:`cubecover.geometry.min_squared_distances`).
     Such a target keeps a partial minimum ``<= settle_radius**2``, so every
-    one of those comparisons decides as at ``settle_radius = 0``, but order
-    statistics and maxima below ``settle_radius`` are not kept; the radius
-    solvers and :func:`approx_covering_radius` leave it at 0.
+    one of those comparisons decides as at ``settle_radius = 0``, and every
+    value above ``settle_radius**2`` is bit for bit the full scan's; order
+    statistics and maxima below ``settle_radius`` are not kept.  The radius
+    solvers pass a hint below the order statistic they read and draw the
+    sample again with ``settle_radius = 0`` when the hint turns out not to
+    lie below it (see :func:`cubecover.solvers.empirical_radius_quantile`);
+    :func:`approx_covering_radius` leaves it at 0.
     """
     if n_designs < 1 or n_targets < 1:
         raise ValueError("n_designs and n_targets must be >= 1")

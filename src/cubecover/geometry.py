@@ -226,7 +226,10 @@ class _CentredExpansion:
 
     def __init__(self, read, shape: tuple[int, int], point_chunk: int, threads: int):
         self.n, d = shape
-        self.pa = np.empty((self.n, d + 1), dtype=np.float32)
+        # after the points, one inert row [0...0, +inf]: see sweep
+        self.pa = np.empty((self.n + 1, d + 1), dtype=np.float32)
+        self.pa[self.n] = 0.0
+        self.pa[self.n, -1] = np.inf
         self.point_chunk = point_chunk
 
         def fill(a: int, b: int) -> None:
@@ -266,33 +269,45 @@ class _CentredExpansion:
         boolean mask over ``rows`` of the targets that need no later tile.
         The walk stops once no target is active.
 
-        Each tile is one product of the active rows of ``t``, padded with
-        finished rows (whose results are not passed on) to at least two rows
-        and ``_MIN_GEMM_WORK`` multiply-adds, or to all of ``t`` if that is
-        fewer.  BLAS sends one-row products to gemv and, in OpenBLAS's
-        AVX-512 builds, products of at most 1e6 multiply-adds with at most
-        1200 outputs to a small-matrix kernel; both round differently from
-        the blocked GEMM, which gives a row the same bits whichever rows
-        share its product.  So an active target's tile is bit for bit the
-        one it gets when no row has dropped out.
+        Each tile is one product of the active rows of ``t``, padded to at
+        least two rows and ``_MIN_GEMM_WORK`` multiply-adds with finished rows
+        of ``t`` and then inert rows [0...0, 1]; a lone last point is
+        multiplied together with the inert point row [0...0, +inf], whose
+        column is not passed on.  BLAS sends one-row or one-column products
+        to gemv and, in OpenBLAS's AVX-512 builds, products of at most 1e6
+        multiply-adds with at most 1200 outputs to a small-matrix kernel;
+        both round differently from the blocked GEMM, which gives a row the
+        same bits whichever rows share its product.  So a target's tile is bit
+        for bit the one it gets in a full block with no row dropped out,
+        whatever the shape of its own block or of the last point chunk.
+        Padding costs at most ``_MIN_GEMM_WORK`` multiply-adds per tile.
         """
         m, k = t.shape
-        live = np.ones(m, dtype=bool)
-        n_live, stale = m, False
-        order, sub = np.arange(m), t  # sub is t[order]: live rows in order, then padding
+        spans = [(j, min(j + self.point_chunk, self.n)) for j in range(0, self.n, self.point_chunk)]
+        widths = [max(b - a, 2) for a, b in spans]  # a lone point takes the inert row along
+        floors = [max(2, -(-_MIN_GEMM_WORK // (w * k))) for w in widths]
         # one buffer for all tiles: tiles of ever fewer rows, each allocated
         # afresh, left about 8 MB more resident at d = 50, n = 1e5
-        buf = np.empty(m * min(self.n, self.point_chunk), dtype=np.float32)
-        for j in range(0, self.n, self.point_chunk):
-            pts = self.pa[j:j + self.point_chunk]
-            floor = min(m, max(2, -(-_MIN_GEMM_WORK // (pts.shape[0] * k))))
-            if stale or order.size != max(n_live, floor):
-                order = np.argsort(~live, kind="stable")[:max(n_live, floor)]
-                sub, stale = t[order], False
+        buf = np.empty(max(max(m, f) * w for f, w in zip(floors, widths)), dtype=np.float32)
+        n_rows = max(m, *floors)
+        live = np.ones(m, dtype=bool)
+        n_live, stale, sub = m, True, None  # sub: live rows of t in order, then padding
+        for (j, stop), w, floor in zip(spans, widths, floors):
+            size = max(n_live, floor)
+            if stale or sub.shape[0] != size:
+                # compacted rows go to a fresh array of one fixed shape; one
+                # kept for the whole sweep left table1's peak memory 8 MB
+                # higher at most seeds
+                order = np.argsort(~live, kind="stable")[:size]
+                packed = np.empty((n_rows, k), dtype=np.float32)
+                packed[m:] = 0.0
+                packed[m:, -1] = 1.0
+                np.take(t, order, axis=0, out=packed[:order.size])
+                sub, stale = packed[:size], False
             rows = order[:n_live]
-            tile = buf[:sub.shape[0] * pts.shape[0]].reshape(sub.shape[0], pts.shape[0])
-            np.matmul(sub, pts.T, out=tile)
-            done = visit(j, rows, tile[:n_live])
+            tile = buf[:size * w].reshape(size, w)
+            np.matmul(sub, self.pa[j:j + w].T, out=tile)
+            done = visit(j, rows, tile[:n_live, :stop - j])
             if done.any():
                 live[rows[done]] = False
                 n_live -= int(np.count_nonzero(done))

@@ -4,10 +4,11 @@ Closed forms: the classical hitting count n_gamma, its asymptotic version
 (-ln gamma)/(eps^d V_d), the worst-case count for decaying mixture weights
 alpha_j = 1/j (returned as log10 -- the values are astronomically large), and
 the asymptotic covering radius r_{n,1-gamma}.  Monte Carlo solvers: the
-empirical radius quantile, the best-delta radius, the coverage-vs-delta
-sweep, and the smallest n reaching coverage 1-gamma.  Each draws its sample
-once under common random numbers, and the radius and n solvers read their
-answer off it as an exact order statistic instead of bisecting for it.
+empirical radius quantile, the best-delta radius, the radius table's cell,
+the coverage-vs-delta sweep, and the smallest n reaching coverage 1-gamma.
+Each draws its sample once under common random numbers, and the radius and n
+solvers read their answer off it as an exact order statistic instead of
+bisecting for it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "GammaLevel",
     "LargeCount",
     "NGammaResult",
+    "RadiusCell",
     "asymptotic_radius",
     "default_delta_grid",
     "delta_sweep",
@@ -37,6 +39,7 @@ __all__ = [
     "n_gamma_asymptotic",
     "n_gamma_classical",
     "radius_best_delta",
+    "radius_table_cell",
     "worst_case_n_mixture",
 ]
 
@@ -141,23 +144,60 @@ def empirical_radius_quantile(
     n_targets: int = 100_000,
     n_designs: int = 2,
     threads: int = 1,
+    hint: float = 0.0,
 ) -> float:
     """Smallest radius at which design-averaged coverage reaches 1 - gamma.
 
     The nearest-distance sample is drawn once, so the coverage curve is the
     empirical cdf of the pooled distances and the radius is its
     ceil((1-gamma) N)-th order statistic, exactly.
+
+    ``hint`` is a guess at a radius below the answer; it changes the run
+    time, never the result.  The sample is drawn with ``settle_radius=hint``,
+    and if ``hint**2`` turns out not to lie below the order statistic it is
+    drawn again in full (see :func:`_ranked_sample`).
     """
     g = _as_gamma(gamma)
     query = CoverageQuery(d, 0.0, n, scheme, prior)
-    d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
-    return _exact_radius(d2, g)
+    return _exact_radius(_ranked_sample(query, n_designs, n_targets, stream, g, hint, threads), g)
+
+
+def _ranked_sample(query: CoverageQuery, n_designs: int, n_targets: int, stream: SeededStream,
+                   g: GammaLevel, hint: float, threads: int) -> np.ndarray:
+    """A nearest-distance sample whose ceil((1-gamma) N)-th value is the full scan's.
+
+    The sample is drawn with ``settle_radius=hint``.  Targets within ``hint``
+    of the design may then keep a partial minimum, but it stays
+    ``<= hint**2`` and every value above ``hint**2`` is bit for bit the full
+    scan's.  So the count of values ``<= hint**2`` is the full scan's, and
+    when it is below the rank k, the k-th value lies above ``hint**2`` and
+    is exact.  Otherwise the sample is drawn again with ``settle_radius=0``.
+    """
+    d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads,
+                                 settle_radius=hint)
+    if hint > 0.0 and np.count_nonzero(d2 <= hint * hint) >= _coverage_rank(g, d2.size):
+        d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
+    return d2
+
+
+def _coverage_rank(g: GammaLevel, size: int) -> int:
+    return math.ceil(g.one_minus * size)
 
 
 def _coverage_order_statistic(values: np.ndarray, g: GammaLevel):
     """Smallest v with a fraction >= 1 - gamma of ``values`` at most v."""
-    k = math.ceil(g.one_minus * values.size)
+    k = _coverage_rank(g, values.size)
     return np.partition(values, k - 1, axis=None)[k - 1]
+
+
+def _radius_hint(d2: np.ndarray, g: GammaLevel) -> float:
+    """sqrt of the ceil((1 - 2 gamma) N)-th value of ``d2``, or 0 if gamma >= 1/2.
+
+    Read off one sample, it hints a radius solve of the same or a nearby
+    cell: a 1 - 2 gamma quantile lies safely below the 1 - gamma one.
+    """
+    k = math.ceil((1.0 - 2.0 * g.gamma) * d2.size)
+    return math.sqrt(float(np.partition(d2, k - 1, axis=None)[k - 1])) if k >= 1 else 0.0
 
 
 def _exact_radius(d2: np.ndarray, g: GammaLevel) -> float:
@@ -235,16 +275,69 @@ def radius_best_delta(d: int, n: int, gamma, deltas, stream: SeededStream, *,
     """(delta*, radius): the delta minimizing the empirical 1-gamma radius.
 
     One uniform design per delta, with the same stream at every delta so the
-    grid is compared on coupled draws; ties go to the larger delta.
+    grid is compared on coupled draws; ties go to the larger delta.  The grid
+    is walked from the largest delta down, and each delta's sample is drawn
+    with the previous delta's 1 - 2 gamma quantile as a hint (none for the
+    first delta, or when gamma >= 1/2).  As in
+    :func:`empirical_radius_quantile`, a hint that turns out not to lie below
+    the order statistic makes the sample be drawn again in full, so every
+    radius is the unhinted one.
+    """
+    delta, r, _, _ = _radius_walk(d, n, _as_gamma(gamma), deltas, stream, n_targets, threads)
+    return delta, r
+
+
+def _radius_walk(d: int, n: int, g: GammaLevel, deltas, stream: SeededStream, n_targets: int,
+                 threads: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """:func:`radius_best_delta`, with the samples at the largest delta and at delta*."""
+    best_delta, best_r, best, first = None, math.inf, None, None
+    hint = 0.0
+    for delta in reversed(_checked_delta_grid(deltas)):
+        query = CoverageQuery.uniform(d, 0.0, n, delta)
+        d2 = _ranked_sample(query, 1, n_targets, stream, g, hint, threads)
+        r = _exact_radius(d2, g)
+        if r < best_r:  # strict, walking down, so ties break toward larger delta
+            best_delta, best_r, best = delta, r, d2
+        if first is None:
+            first = d2
+        hint = _radius_hint(d2, g)
+    return best_delta, best_r, first, best
+
+
+@dataclass(frozen=True)
+class RadiusCell:
+    """One row of the radius table: the 1-gamma radius on [0,1]^d and on the
+    best delta-cube, and that delta."""
+
+    r_full_cube: float
+    r_delta_cube: float
+    delta_star: float
+
+
+def radius_table_cell(d: int, n: int, gamma, deltas, stream: SeededStream, *,
+                      n_targets: int = 20_000, n_designs: int = 2, sweep_targets: int = 5000,
+                      threads: int = 1) -> RadiusCell:
+    """The radius table's cell (d, n), on the children 0, 1 and 2 of ``stream``.
+
+    delta* is :func:`radius_best_delta` with ``sweep_targets`` targets on
+    child 1.  The two radii are :func:`empirical_radius_quantile` at the full
+    budget, at delta = 1 on child 0 and at delta* on child 2.  The sweep runs
+    first, so its samples at delta = 1 (when the grid has it) and at delta*
+    hint the two radius solves; the hints change the run time only.
     """
     g = _as_gamma(gamma)
-    best_delta, best_r = None, math.inf
-    for delta in _checked_delta_grid(deltas):
-        query = CoverageQuery.uniform(d, 0.0, n, delta)
-        r = _exact_radius(nearest_distance_sample(query, 1, n_targets, stream, threads=threads), g)
-        if r <= best_r:  # <= so ties break toward larger delta
-            best_delta, best_r = delta, r
-    return best_delta, best_r
+    grid = _checked_delta_grid(deltas)
+    best_delta, _, first, best = _radius_walk(d, n, g, grid, stream.child(1), sweep_targets,
+                                              threads)
+    prior = TargetPrior.uniform(d)
+    full_hint = _radius_hint(first, g) if grid[-1] == 1.0 else 0.0
+    r_full = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, 1.0), prior, g,
+                                       stream.child(0), n_targets=n_targets, n_designs=n_designs,
+                                       threads=threads, hint=full_hint)
+    r_best = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, best_delta), prior, g,
+                                       stream.child(2), n_targets=n_targets, n_designs=n_designs,
+                                       threads=threads, hint=_radius_hint(best, g))
+    return RadiusCell(r_full, r_best, best_delta)
 
 
 @dataclass(frozen=True)

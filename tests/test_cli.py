@@ -15,7 +15,7 @@ from cubecover.cli import (
     main,
 )
 from cubecover.coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
-from cubecover.solvers import radius_best_delta
+from cubecover.solvers import GammaLevel, _exact_radius, default_delta_grid, radius_best_delta
 from cubecover.streams import SeededStream
 
 
@@ -309,7 +309,7 @@ class TestFieldTable:
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("dim = 4\nn = 100\ntargets = 3000\n# comment\nr: 0.5\n")
+        cfg.write_text("dim = 4\nn = 100\ntargets: 3000\n# comment\n")
         code1, out1 = run(tmp_path, "a.csv", "radius", "--config", str(cfg),
                           "--gamma", "0.1", "--seed", "9")
         assert code1 == 0
@@ -325,7 +325,8 @@ class TestConfigFile:
                                               ("dim = 4\nn 10\n", "n 10"),
                                               ("r_grid = 0.3,-1\n", "r_grid"),
                                               ("scheme = halton\n", "scheme"),
-                                              ("config = other.cfg\n", "config")])
+                                              ("config = other.cfg\n", "config"),
+                                              ("gamma = 0.1\n", "gamma")])
     def test_bad_config_exits_2(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -409,6 +410,30 @@ class TestTable1Command:
         best_delta, _ = radius_best_delta(12, 300, 0.1, [0.6, 0.8, 1.0],
                                           SeededStream(3).child(0).child(1), n_targets=1500)
         assert float(row[5]) == best_delta
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_hinted_file_matches_unhinted_samples(self, tmp_path, threads):
+        # d = 12 runs on the BLAS engine, where the hints let targets settle
+        code, out = run(tmp_path, "t.csv", "table1", "--cells", "12:3000", "--targets", "4000",
+                        "--seed", "5", "--threads", threads)
+        assert code == 0
+        cell, g = SeededStream(5).child(0), GammaLevel(0.1)
+
+        def radius(delta, n_designs, n_targets, stream):
+            query = CoverageQuery.uniform(12, 0.0, 3000, delta)
+            return _exact_radius(nearest_distance_sample(query, n_designs, n_targets, stream), g)
+
+        best_delta, best_r = None, np.inf
+        for delta in default_delta_grid(0.05):  # ascending, ties to the larger delta
+            r = radius(delta, 1, 2000, cell.child(1))
+            if r <= best_r:
+                best_delta, best_r = delta, r
+        expected = tmp_path / "expected.csv"
+        _emit(str(expected), "table1", 5,
+              ["d", "n", "gamma", "r_full_cube", "r_delta_cube", "delta_star", "warning"],
+              [[12, 3000, 0.1, radius(1.0, 2, 4000, cell.child(0)),
+                radius(best_delta, 2, 4000, cell.child(2)), best_delta, ""]])
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestSobolCompareCommand:

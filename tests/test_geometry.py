@@ -435,3 +435,83 @@ class TestCubesAndBalls:
         assert not b.contains([0.5, 0.8])
         with pytest.raises(ValueError):
             Ball(np.array([0.0]), -1.0)
+
+
+class TestBlockShapeBits:
+    """A target's float32 bits do not depend on the shape of its block or of the
+    last point chunk: a lone last target row (m = 1025) and a lone last point
+    (n = 2049) get the values they get inside a full block."""
+
+    @staticmethod
+    def _tiles(points, t, point_chunk=2048):
+        # every tile of the (never finished) rows of augmented targets t
+        read, shape, _ = geometry_module._as_points(points)
+        ex = geometry_module._CentredExpansion(read, shape, point_chunk, 1)
+        got = []
+
+        def visit(j, rows, tile):
+            got.append(tile.copy())
+            return np.zeros(rows.size, dtype=bool)
+
+        ex.sweep(ex.targets(t)[0], visit)
+        return got
+
+    @pytest.mark.parametrize("d", [3, 12, 50])
+    def test_lone_row_and_lone_point_tiles(self, d):
+        rng = np.random.default_rng(60 + d)
+        targets, points = rng.random((1024, d)), rng.random((2049, d))
+        full = self._tiles(points, targets)
+        # a block of one row, against full and lone-point chunks alike
+        for i in (0, 517, 1023):
+            lone = self._tiles(points, targets[i:i + 1])
+            assert all(np.array_equal(a[0], b[i]) for a, b in zip(lone, full))
+        # the lone last point, against the same point first in a full chunk
+        moved = self._tiles(np.vstack([points[2048:], points[:2047]]), targets)
+        assert full[1].shape == (1024, 1)
+        assert np.array_equal(full[1][:, 0], moved[0][:, 0])
+
+    @pytest.mark.parametrize("d", [12, 50])
+    def test_min_squared_distances_lone_row(self, d):
+        rng = np.random.default_rng(70 + d)
+        targets, points = rng.random((1024, d)), rng.random((3000, d))
+        in_full = min_squared_distances(targets, points, engine="blas")
+        for i in range(0, 1024, 73):
+            # target i again, alone in the last block of 1025 targets
+            lone = min_squared_distances(np.vstack([targets, targets[i]]), points, engine="blas")
+            assert lone[1024] == in_full[i]
+
+    @pytest.mark.parametrize("d", [12, 50])
+    def test_min_squared_distances_lone_point(self, d):
+        rng = np.random.default_rng(80 + d)
+        points = rng.random((2049, d))
+        # targets whose nearest point is the lone last one
+        targets = points[2048] + 1e-2 * (rng.random((1024, d)) - 0.5)
+        got = min_squared_distances(targets, points, engine="blas")
+        in_full = min_squared_distances(targets, np.vstack([points[2048:], points[:2047]]),
+                                        engine="blas")
+        assert np.array_equal(got, in_full)
+
+    @pytest.mark.parametrize("d", [12, 50])
+    def test_first_hit_lone_row_and_lone_point(self, d):
+        # targets on a sphere around one point, within float32 rounding of the
+        # radius, where the tile's bits decide each hit; the other points are
+        # far away and never hit
+        rng = np.random.default_rng(90 + d)
+        centre = rng.random(d)
+        far = 5.0 + rng.random((2048, d))
+        r = 0.3
+        step = rng.standard_normal((1024, d))
+        step *= r * (1.0 + 1e-5 * (rng.random((1024, 1)) - 0.5)) / np.linalg.norm(step, axis=1)[:, None]
+        targets = centre + step
+        kwargs = dict(point_chunk=2048)
+        # lone last point (index 2049) against the same point ending a full chunk
+        lone_pt = first_hit_index(targets, np.vstack([far, centre]), r, **kwargs)
+        full_pt = first_hit_index(targets, np.vstack([far[1:], centre]), r, **kwargs)
+        assert np.array_equal(lone_pt == 2049, full_pt == 2048)
+        assert 0 < np.count_nonzero(lone_pt == 2049) < 1024
+        # lone last target row against the same target inside a full block
+        in_full = first_hit_index(targets, np.vstack([centre, far]), r, **kwargs)
+        for i in range(0, 1024, 73):
+            lone = first_hit_index(np.vstack([targets, targets[i]]), np.vstack([centre, far]),
+                                   r, **kwargs)
+            assert lone[1024] == in_full[i]

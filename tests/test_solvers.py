@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import cubecover.solvers as solvers_module
 from cubecover.coverage import CoverageQuery, coverage_design_averaged, nearest_distance_sample
 from cubecover.geometry import unit_ball_volume
 from cubecover.sampling import SamplingScheme, TargetPrior
 from cubecover.solvers import (
     GammaLevel,
+    RadiusCell,
+    _coverage_order_statistic,
+    _exact_radius,
+    _radius_hint,
     asymptotic_radius,
     default_delta_grid,
     delta_sweep,
@@ -17,6 +22,7 @@ from cubecover.solvers import (
     n_gamma_asymptotic,
     n_gamma_classical,
     radius_best_delta,
+    radius_table_cell,
     worst_case_n_mixture,
 )
 from cubecover.streams import SeededStream
@@ -278,3 +284,113 @@ class TestEmpiricalNGamma:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             empirical_n_gamma(3, 0.0, SamplingScheme.uniform(3), 0.1, SeededStream(17))
+
+
+class TestRadiusHint:
+    """A hint changes how far the kernel scans, never the radius."""
+
+    D, N = 12, 3000  # BLAS engine, two point tiles
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        original = solvers_module.nearest_distance_sample
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("settle_radius", 0.0))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solvers_module, "nearest_distance_sample", counted)
+        return calls
+
+    def _radius(self, hint=0.0, d=D, threads=1):
+        return empirical_radius_quantile(d, self.N, SamplingScheme.uniform(d), TargetPrior.uniform(d),
+                                         0.1, SeededStream(31), n_targets=2500, n_designs=2,
+                                         threads=threads, hint=hint)
+
+    def _full_sample(self, d=D):
+        query = CoverageQuery.uniform(d, 0.0, self.N)
+        return nearest_distance_sample(query, 2, 2500, SeededStream(31))
+
+    def test_hint_above_the_answer_falls_back(self, monkeypatch):
+        ref = _exact_radius(self._full_sample(), GammaLevel(0.1))
+        calls = self._counted(monkeypatch)
+        assert self._radius(hint=2.0 * ref) == ref
+        assert calls == [2.0 * ref, 0.0]
+
+    def test_hint_at_the_order_statistic(self, monkeypatch):
+        d2 = self._full_sample()
+        g = GammaLevel(0.1)
+        ref, q = _exact_radius(d2, g), float(_coverage_order_statistic(d2, g))
+        k = math.ceil(0.9 * d2.size)
+        calls = self._counted(monkeypatch)
+        for hint in (math.nextafter(math.sqrt(q), 0.0), math.sqrt(q),
+                     math.nextafter(math.sqrt(q), math.inf)):
+            calls.clear()
+            assert self._radius(hint=hint) == ref
+            # the fallback runs exactly when hint**2 does not lie below the k-th value
+            fell_back = np.count_nonzero(d2 <= hint * hint) >= k
+            assert calls == ([hint, 0.0] if fell_back else [hint])
+
+    def test_hint_below_the_answer_draws_once(self, monkeypatch):
+        d2 = self._full_sample()
+        ref = _exact_radius(d2, GammaLevel(0.1))
+        hint = math.sqrt(float(np.quantile(d2, 0.5)))
+        calls = self._counted(monkeypatch)
+        assert self._radius(hint=hint) == ref
+        assert calls == [hint]
+
+    def test_zero_hint_is_the_unhinted_solve(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        assert self._radius(hint=0.0) == _exact_radius(self._full_sample(), GammaLevel(0.1))
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("quantile", [0.2, 0.85, 0.95])
+    def test_kdtree_engine(self, quantile):
+        d2 = self._full_sample(d=5)
+        ref = _exact_radius(d2, GammaLevel(0.1))
+        assert self._radius(hint=math.sqrt(float(np.quantile(d2, quantile))), d=5) == ref
+
+    def test_threads_do_not_change_the_radius(self):
+        d2 = self._full_sample()
+        ref = _exact_radius(d2, GammaLevel(0.1))
+        hint = _radius_hint(d2, GammaLevel(0.1))
+        assert 0.0 < hint < ref
+        assert self._radius(hint=hint, threads=1) == self._radius(hint=hint, threads=3) == ref
+
+
+class TestRadiusWalk:
+    def test_ties_keep_the_larger_delta(self, monkeypatch):
+        # fake samples whose radius is set per delta, so that deltas tie
+        radii = {0.4: 0.5, 0.6: 0.5, 0.8: 0.5, 1.0: 0.75}
+
+        def fake(query, n_designs, n_targets, stream, *, threads=1, settle_radius=0.0):
+            return np.full((n_designs, n_targets), radii[query.scheme.delta] ** 2)
+
+        monkeypatch.setattr(solvers_module, "nearest_distance_sample", fake)
+        assert radius_best_delta(3, 10, 0.1, list(radii), SeededStream(1), n_targets=50) == (0.8, 0.5)
+        radii[1.0] = 0.5
+        assert radius_best_delta(3, 10, 0.1, list(radii), SeededStream(1), n_targets=50) == (1.0, 0.5)
+
+    @pytest.mark.parametrize("d,n,grid", [(12, 3000, default_delta_grid(0.1)),
+                                          (6, 200, [0.5, 0.75, 1.0]),
+                                          (12, 2500, [0.7, 0.9])])
+    def test_cell_matches_the_unhinted_calls(self, d, n, grid):
+        stream = SeededStream(33)
+        kwargs = dict(n_targets=3000, n_designs=2)
+        cell = radius_table_cell(d, n, 0.1, grid, stream, sweep_targets=1500, threads=2, **kwargs)
+        prior = TargetPrior.uniform(d)
+        r_full = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, 1.0), prior, 0.1,
+                                           stream.child(0), **kwargs)
+        # the ascending walk with <= that the radius table used before hints
+        best_delta, best_r = None, math.inf
+        for delta in sorted(grid):
+            d2 = nearest_distance_sample(CoverageQuery.uniform(d, 0.0, n, delta), 1, 1500,
+                                         stream.child(1))
+            r = _exact_radius(d2, GammaLevel(0.1))
+            if r <= best_r:
+                best_delta, best_r = delta, r
+        r_best = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, best_delta), prior, 0.1,
+                                           stream.child(2), **kwargs)
+        assert cell == RadiusCell(r_full, r_best, best_delta)
+        assert radius_best_delta(d, n, 0.1, grid, stream.child(1), n_targets=1500) == (best_delta, best_r)
