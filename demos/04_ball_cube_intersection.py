@@ -11,7 +11,6 @@ intersection variable kappa_U, whose spread quantifies how wrong the
 import numpy as np
 
 from cubecover import (
-    EdgeworthConfig,
     SeededStream,
     clt_probability,
     edgeworth_probability,
@@ -32,7 +31,7 @@ for label, u_val in (("U = centre", 0.5), ("U = (3/4,...,3/4)", 0.75)):
     for i, r in enumerate((0.6, 0.8, 1.0, 1.2)):
         mc = mc_intersection_oracle(u, delta, 1.0, r, 400_000, stream.child(10 * int(u_val * 4) + i))
         p0 = clt_probability(u, delta, 1.0, r)
-        p1 = edgeworth_probability(u, delta, 1.0, r, EdgeworthConfig(order=1))
+        p1 = edgeworth_probability(u, delta, 1.0, r, order=1)
         print(f"{r:>5.1f} {mc.value:>8.4f} {p0:>8.4f} {p1:>9.4f}")
 
 print("\nkappa_U = P{||U-X|| <= r} / (r^d V_d) for U uniform, d=10, r=0.5:")

@@ -4,7 +4,6 @@ intersection approximations, and sample-size/radius solvers."""
 
 from .coverage import (
     CoverageQuery,
-    approx_covering_radius,
     coverage_design_averaged,
     coverage_design_conditional,
     coverage_product_form,
@@ -15,16 +14,11 @@ from .coverage import (
 )
 from .estimates import CoverageEstimate
 from .geometry import (
-    Ball,
-    DeltaCube,
     log_unit_ball_volume,
-    min_distance_to_set,
     min_squared_distances,
-    squared_distance,
     unit_ball_volume,
 )
 from .intersect import (
-    EdgeworthConfig,
     MomentSet,
     ball_probability,
     clt_probability,
@@ -42,7 +36,6 @@ from .sampling import (
     hamming_threshold,
     min_hamming_vertex_design,
     sample_design,
-    sample_target,
     sample_targets,
 )
 from .sobol import MAX_DIMENSION, sobol_points

@@ -2,9 +2,10 @@
 intersection approximations and design dumps, emitted as CSV or JSON lines.
 
 Every command is a pure function of its parameters and the master seed:
-reruns are byte-identical, and ``--threads`` changes wall time only.  Wall
-times go to stderr, never into output files.  Exit codes: 0 success,
-2 validation error, 3 numeric or infeasibility error.
+reruns are byte-identical, and ``--threads``, which only the commands that run
+the distance kernel take, changes wall time only.  Wall times go to stderr,
+never into output files.  Exit codes: 0 success, 2 validation error,
+3 numeric or infeasibility error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .coverage import (
 from .estimates import CoverageEstimate
 from .geometry import log_unit_ball_volume
 from .intersect import (
-    EdgeworthConfig,
     clt_probability,
     edgeworth_probability,
     kappa_density_sample,
@@ -67,10 +67,18 @@ class CliError(ValueError):
 
 
 def _number(text: str) -> float:
-    """Every float the CLI reads (radii, delta, alpha, gamma) is finite and >= 0."""
+    """Every other float the CLI reads (radii, alpha, gamma) is finite and >= 0."""
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
         raise CliError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _delta(text: str) -> float:
+    """The side of C_delta lies in (0, 1], so the cube lies inside [0,1]^d."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise CliError(f"must lie in (0, 1], got {text!r}")
     return value
 
 
@@ -118,7 +126,7 @@ def _parse_grid(text: str) -> list[float]:
 # defaults stay at the call sites because some differ by command.
 _FIELDS = {
     "dim": int, "dims": _int_list, "n": int, "r": _number, "r_grid": _parse_grid,
-    "delta": _number, "delta_grid": _parse_grid, "alpha": _number, "gamma": _number,
+    "delta": _delta, "delta_grid": _parse_grid, "alpha": _number, "gamma": _number,
     "scheme": str, "prior": str, "targets": int, "inner": int, "designs": int,
     "cells": str, "cap": int, "bins": int, "u": _float_list, "bounds": _bool,
     "hamming_nmax": int, "sweep_targets": int,
@@ -397,7 +405,7 @@ def cmd_intersect(p: Params) -> tuple[list[str], list[list]]:
     for j, r in enumerate(_r_grid(p)):
         oracle = mc_intersection_oracle(u, delta, alpha, r, inner, stream.child(j))
         clt = clt_probability(u, delta, alpha, r)
-        edg = edgeworth_probability(u, delta, alpha, r, EdgeworthConfig(order=1))
+        edg = edgeworth_probability(u, delta, alpha, r, order=1)
         rows.append([r, oracle.value, oracle.std_error, clt, edg,
                      abs(clt - oracle.value), abs(edg - oracle.value)])
     return columns, rows
@@ -501,21 +509,22 @@ def cmd_design(p: Params) -> tuple[list[str], list[list]]:
 
 
 _SCHEME = ("scheme", "delta", "alpha")
-_COMMON = ("seed", "threads", "out")  # read by every command, as is --config
+_COMMON = ("seed", "out")  # read by every command, as is --config
 _COMMANDS = {  # command: (function, the fields it reads besides _COMMON and config)
     "coverage": (cmd_coverage, ("dim", "n", "r", "r_grid", *_SCHEME, "prior", "targets",
-                                "designs", "bounds")),
+                                "designs", "bounds", "threads")),
     "table1": (cmd_table1, ("gamma", "cells", "targets", "designs", "sweep_targets",
-                            "delta_grid")),
+                            "delta_grid", "threads")),
     "ngamma": (cmd_ngamma, ("dim", "gamma", "r_grid", "delta_grid", "targets", "designs",
-                            "cap")),
+                            "cap", "threads")),
     "intersect": (cmd_intersect, ("dim", "u", "delta", "alpha", "inner", "r", "r_grid")),
     "kappa": (cmd_kappa, ("dim", "r", "delta", "targets", "inner", "bins")),
     "sobol-compare": (cmd_sobol_compare, ("n", "gamma", "dims", "targets", "designs",
-                                          "delta_grid", "r")),
+                                          "delta_grid", "r", "threads")),
     "delta-sweep": (cmd_delta_sweep, ("dim", "n", "r", "prior", "alpha", "delta_grid",
-                                      "targets", "designs")),
-    "radius": (cmd_radius, ("dim", "n", "gamma", *_SCHEME, "prior", "targets", "designs")),
+                                      "targets", "designs", "threads")),
+    "radius": (cmd_radius, ("dim", "n", "gamma", *_SCHEME, "prior", "targets", "designs",
+                            "threads")),
     "design": (cmd_design, ("dim", "n", *_SCHEME, "hamming_nmax")),
 }
 

@@ -37,7 +37,6 @@ from .streams import SeededStream
 
 __all__ = [
     "CoverageQuery",
-    "approx_covering_radius",
     "coverage_design_averaged",
     "coverage_design_conditional",
     "coverage_product_form",
@@ -51,6 +50,10 @@ __all__ = [
 # Largest float64 block of inner Monte Carlo draws that coverage_product_form
 # holds at once; its peak memory is set by this, not by ``inner``.
 _MC_BLOCK_BYTES = 16 << 20
+
+# Targets per inner Monte Carlo chunk; chunk c draws from ``stream.jumped(c)``,
+# so this fixes which draws each target gets.
+_MC_TARGET_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,7 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
     statistics and maxima below ``settle_radius`` are not kept.  The radius
     solvers pass a hint below the order statistic they read and draw the
     sample again with ``settle_radius = 0`` when the hint turns out not to
-    lie below it (see :func:`cubecover.solvers.empirical_radius_quantile`);
-    :func:`approx_covering_radius` leaves it at 0.
+    lie below it (see :func:`cubecover.solvers.empirical_radius_quantile`).
     """
     if n_designs < 1 or n_targets < 1:
         raise ValueError("n_designs and n_targets must be >= 1")
@@ -160,8 +162,8 @@ def coverage_design_averaged(query: CoverageQuery, n_designs: int, n_targets: in
 
 
 def coverage_product_form(query: CoverageQuery, n_targets: int, inner: int,
-                          stream: SeededStream, *, method: str = "mc", order: int = 1,
-                          target_chunk: int = 128) -> CoverageEstimate:
+                          stream: SeededStream, *, method: str = "mc",
+                          order: int = 1) -> CoverageEstimate:
     """Outer Monte Carlo over targets of 1 - (1 - p(U))^n.
 
     ``method`` selects how p(U) is evaluated: "mc" (inner Monte Carlo of size
@@ -181,7 +183,7 @@ def coverage_product_form(query: CoverageQuery, n_targets: int, inner: int,
     elif method == "mc":
         if inner < 1:
             raise ValueError("inner Monte Carlo size must be >= 1")
-        p = _inner_mc_probabilities(targets, delta, alpha, r, inner, stream.child(1), target_chunk)
+        p = _inner_mc_probabilities(targets, delta, alpha, r, inner, stream.child(1))
         bias_flagged = bool(n * np.max(p * (1.0 - p)) / inner > 0.01)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -193,10 +195,10 @@ def coverage_product_form(query: CoverageQuery, n_targets: int, inner: int,
 
 
 def _inner_mc_probabilities(targets: np.ndarray, delta: float, alpha: float, r: float,
-                            inner: int, stream: SeededStream, target_chunk: int) -> np.ndarray:
+                            inner: int, stream: SeededStream) -> np.ndarray:
     """Per-target inner Monte Carlo estimates of P_X{||u - X|| <= r}.
 
-    Chunk ``c`` of ``target_chunk`` targets draws its ``inner`` points per
+    Chunk ``c`` of ``_MC_TARGET_CHUNK`` targets draws its ``inner`` points per
     target from ``stream.jumped(c)``, in sub-batches of targets whose float64
     block fits ``_MC_BLOCK_BYTES``.  Consecutive draws from one generator
     continue one sequence, so the sub-batch size does not change the result.
@@ -205,8 +207,8 @@ def _inner_mc_probabilities(targets: np.ndarray, delta: float, alpha: float, r: 
     r2 = r * r
     p = np.empty(m)
     step = max(1, _MC_BLOCK_BYTES // (8 * inner * d))
-    for c, a in enumerate(range(0, m, target_chunk)):
-        b = min(a + target_chunk, m)
+    for c, a in enumerate(range(0, m, _MC_TARGET_CHUNK)):
+        b = min(a + _MC_TARGET_CHUNK, m)
         gen = stream.jumped(c)
         for s in range(a, b, step):
             e = min(s + step, b)
@@ -289,17 +291,3 @@ def product_form_approximation(query: CoverageQuery, inner: int,
     """
     d2 = _paired_distance_sample(query, inner, stream)
     return _product_form_estimate(d2, query.radius, query.n_points)
-
-
-def approx_covering_radius(design: Design, n_probes: int, stream: SeededStream,
-                           *, threads: int = 1) -> float:
-    """Max over uniform probes of the nearest-design distance.
-
-    A consistent *lower* estimate of the covering radius CR(X_n); the exact
-    max-min over the continuous cube is deliberately out of reach here.
-    """
-    if n_probes < 1:
-        raise ValueError(f"need n_probes >= 1, got {n_probes}")
-    probes = sample_targets(TargetPrior.uniform(design.dimension), n_probes, stream)
-    d2 = min_squared_distances(probes, design.points, threads=threads)
-    return math.sqrt(float(d2.max()))

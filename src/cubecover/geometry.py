@@ -1,4 +1,4 @@
-"""Dimension-generic geometry: points, sub-cubes, balls and nearest distances.
+"""Dimension-generic geometry: points, unit-ball volumes and nearest distances.
 
 Everything here works on plain float64 numpy arrays; the bulk distance
 kernels also take a *row source*, an object with ``.shape`` (n, d) and
@@ -13,19 +13,14 @@ import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Ball",
-    "DeltaCube",
     "as_point",
     "first_hit_index",
     "log_unit_ball_volume",
-    "min_distance_to_set",
     "min_squared_distances",
-    "squared_distance",
     "unit_ball_volume",
 ]
 
@@ -71,87 +66,14 @@ def unit_ball_volume(d: int) -> float:
     return math.exp(log_unit_ball_volume(d))
 
 
-def as_point(x, dim: int | None = None) -> np.ndarray:
+def as_point(x) -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float64 coordinate vector."""
     p = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if p.ndim != 1 or p.size < 1:
         raise ValueError(f"a point must be a 1-D vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("point coordinates must be finite")
-    if dim is not None and p.size != dim:
-        raise ValueError(f"point has dimension {p.size}, expected {dim}")
     return p
-
-
-@dataclass(frozen=True)
-class DeltaCube:
-    """The cube C_delta = [1/2 - delta/2, 1/2 + delta/2]^d; delta=1 is [0,1]^d."""
-
-    delta: float
-    dimension: int
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-
-    @property
-    def lower(self) -> float:
-        return 0.5 - 0.5 * self.delta
-
-    @property
-    def upper(self) -> float:
-        return 0.5 + 0.5 * self.delta
-
-    def contains(self, x) -> bool:
-        p = as_point(x, self.dimension)
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
-
-    def farthest_corner_distance(self, x) -> float:
-        """Distance from ``x`` to the corner of the cube farthest from it."""
-        p = as_point(x, self.dimension)
-        reach = np.maximum(np.abs(p - self.lower), np.abs(self.upper - p))
-        return math.sqrt(float(np.dot(reach, reach)))
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Euclidean ball with a fixed center and nonnegative radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-
-    def contains(self, x) -> bool:
-        p = as_point(x, self.center.size)
-        return squared_distance(p, self.center) <= self.radius**2
-
-
-def squared_distance(a, b) -> float:
-    """Sum of squared coordinate differences between two points."""
-    pa, pb = as_point(a), as_point(b)
-    if pa.size != pb.size:
-        raise ValueError(f"dimension mismatch: {pa.size} vs {pb.size}")
-    diff = pa - pb
-    return float(np.dot(diff, diff))
-
-
-def min_distance_to_set(u, points) -> float:
-    """Distance from ``u`` to the nearest point of a nonempty point set.
-
-    Single-query path, computed in float64 (the blocked float32 engine is for
-    bulk queries).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[0] == 0:
-        raise ValueError("point set is empty")
-    diff = pts - as_point(u, pts.shape[1])
-    return math.sqrt(float(np.min(np.einsum("ij,ij->i", diff, diff))))
 
 
 def _map_chunks(fn, n_items: int, chunk: int, threads: int) -> list:

@@ -22,7 +22,6 @@ from .sampling import TargetPrior, draw_delta_cube, sample_targets
 from .streams import SeededStream
 
 __all__ = [
-    "EdgeworthConfig",
     "MomentSet",
     "ball_probability",
     "ball_probability_batch",
@@ -158,18 +157,6 @@ def sum_moments(U, delta: float, alpha: float = 1.0, nu_max: int = 4) -> MomentS
     return MomentSet(float(sums[0]), float(sums[1]), cum)
 
 
-@dataclass(frozen=True)
-class EdgeworthConfig:
-    """Number of correction terms retained (0 = plain CLT) and output clamping."""
-
-    order: int = 1
-    clamp: bool = True
-
-    def __post_init__(self):
-        if not 0 <= self.order <= 2:
-            raise ValueError(f"supported expansion orders are 0..2, got {self.order}")
-
-
 def _hermite(t: np.ndarray, m: int) -> np.ndarray:
     """Probabilists' Hermite polynomial He_m(t), He_{k+1} = t He_k - k He_{k-1}."""
     h_prev = np.ones_like(t)
@@ -233,15 +220,16 @@ def clt_probability(U, delta: float, alpha: float, r: float) -> float:
     return float(ball_probability_batch(as_point(U)[None, :], delta, alpha, r, order=0)[0])
 
 
-def edgeworth_probability(U, delta: float, alpha: float, r: float,
-                          config: EdgeworthConfig = EdgeworthConfig()) -> float:
+def edgeworth_probability(U, delta: float, alpha: float, r: float, *,
+                          order: int = 1, clamp: bool = True) -> float:
     """Edgeworth-corrected P{||U - X|| <= r}; order 0 reproduces the CLT value.
 
+    ``order`` and ``clamp`` are those of :func:`ball_probability_batch`.
     Expansions are not proper cdfs, so raw values may leave [0,1]; with
-    ``config.clamp`` (the default) the output is clipped into [0,1].
+    ``clamp`` (the default) the output is clipped into [0,1].
     """
     return float(ball_probability_batch(as_point(U)[None, :], delta, alpha, r,
-                                        order=config.order, clamp=config.clamp)[0])
+                                        order=order, clamp=clamp)[0])
 
 
 def ball_probability_batch(U_rows, delta: float, alpha: float, r: float,

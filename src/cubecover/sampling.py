@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "hamming_threshold",
     "min_hamming_vertex_design",
     "sample_design",
-    "sample_target",
     "sample_targets",
 ]
 
@@ -116,12 +115,10 @@ class TargetPrior:
 
 @dataclass(frozen=True)
 class Design:
-    """An ordered point set with provenance metadata."""
+    """An ordered point set, shape (n, d)."""
 
     points: np.ndarray
-    scheme: SamplingScheme | None = None
-    stream: SeededStream | None = None
-    shortfall: bool = field(default=False)  # Hamming design could not reach n_max
+    shortfall: bool = False  # Hamming design could not reach n_max
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -264,7 +261,7 @@ def sample_design(scheme: SamplingScheme, n: int, stream: SeededStream) -> Desig
             if n > 1 else np.full((1, d), 0.5)
     else:  # pragma: no cover
         raise ValueError(f"unknown scheme kind {scheme.kind}")
-    return Design(pts, scheme, stream)
+    return Design(pts)
 
 
 def sample_targets(prior: TargetPrior, n: int, stream: SeededStream) -> np.ndarray:
@@ -272,11 +269,6 @@ def sample_targets(prior: TargetPrior, n: int, stream: SeededStream) -> np.ndarr
     if n < 1:
         raise ValueError(f"need n >= 1 targets, got {n}")
     return beta_quantile(prior.alpha, stream.generator().random((n, prior.dimension)))
-
-
-def sample_target(prior: TargetPrior, stream: SeededStream) -> np.ndarray:
-    """One draw from the target prior."""
-    return sample_targets(prior, 1, stream)[0]
 
 
 def hamming_threshold(dimension: int, n_max: int) -> int:
@@ -318,8 +310,7 @@ def min_hamming_vertex_design(
         if all(bin(m ^ other).count("1") >= threshold for other in accepted):
             accepted.append(m)
 
-    scheme = SamplingScheme.vertex(dimension)
     pts = np.full((1, dimension), 0.5)
     if accepted:
         pts = np.vstack([pts, _masks_to_points(accepted, dimension)])
-    return Design(pts, scheme, stream, shortfall=len(accepted) < n_max - 1)
+    return Design(pts, shortfall=len(accepted) < n_max - 1)

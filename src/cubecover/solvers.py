@@ -449,7 +449,6 @@ def empirical_n_gamma_best_delta(
     gamma,
     stream: SeededStream,
     *,
-    alpha: float = 1.0,
     deltas=None,
     n_targets: int = 10_000,
     n_designs: int = 2,
@@ -457,7 +456,7 @@ def empirical_n_gamma_best_delta(
     initial_cap: int | None = None,
     threads: int = 1,
 ) -> tuple[NGammaResult, list[tuple[float, NGammaResult]]]:
-    """Minimize n_gamma over a delta grid; ties break toward larger delta.
+    """Minimize n_gamma over a delta grid of uniform schemes; ties break toward larger delta.
 
     The grid is walked from delta = 1 downward and every cell searches only
     up to the incumbent best n (a cell that cannot beat the incumbent cannot
@@ -472,7 +471,7 @@ def empirical_n_gamma_best_delta(
     best: NGammaResult | None = None
     cap = min(n_cap, initial_cap) if initial_cap else n_cap
     for j, delta in enumerate(grid):
-        scheme = SamplingScheme.beta(d, alpha, delta)
+        scheme = SamplingScheme.uniform(d, delta)
         res = empirical_n_gamma(d, r, scheme, gamma, stream.child(j),
                                 n_targets=n_targets, n_designs=n_designs, n_cap=cap, threads=threads)
         if res.status != "ok" and cap < n_cap:

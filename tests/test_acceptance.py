@@ -15,7 +15,6 @@ from cubecover.cli import main as cli_main
 from cubecover.coverage import CoverageQuery, coverage_design_conditional, nearest_distance_sample
 from cubecover.geometry import unit_ball_volume
 from cubecover.intersect import (
-    EdgeworthConfig,
     clt_probability,
     coordinate_moments,
     edgeworth_probability,
@@ -134,7 +133,7 @@ class TestCriterion5Edgeworth:
             if not 0.01 <= oracle <= 0.99:
                 continue
             errs0.append(abs(clt_probability(u, delta, 1.0, r) - oracle))
-            errs1.append(abs(edgeworth_probability(u, delta, 1.0, r, EdgeworthConfig(order=1)) - oracle))
+            errs1.append(abs(edgeworth_probability(u, delta, 1.0, r, order=1) - oracle))
         ok = max(errs1) <= max(errs0) and max(errs1) <= 0.01
         report("5 (Edgeworth accuracy)", ok,
                f"max|err| over {len(errs1)} radii: order-1 {max(errs1):.4f} vs order-0 {max(errs0):.4f} (cap 0.01)")

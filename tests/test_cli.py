@@ -126,8 +126,12 @@ class TestDeterminism:
          "--targets", "2000"),
     ])
     def test_byte_identical_across_threads(self, tmp_path, args):
-        code1, out1 = run(tmp_path, "a.csv", *args, "--seed", "42", "--threads", "1")
-        code2, out2 = run(tmp_path, "b.csv", *args, "--seed", "42", "--threads", "4")
+        # a command that takes no --threads is rerun with the same seed
+        def threads(k):
+            return ["--threads", k] if "threads" in _COMMANDS[args[0]][1] else []
+
+        code1, out1 = run(tmp_path, "a.csv", *args, "--seed", "42", *threads("1"))
+        code2, out2 = run(tmp_path, "b.csv", *args, "--seed", "42", *threads("4"))
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -169,8 +173,14 @@ class TestValidation:
         (["coverage", "--dim", "3", "--n", "4", "--r", "0.3", "--alpha", "0.3"], "--alpha"),
         (["radius", "--dim", "3", "--n", "4", "--scheme", "vertex", "--delta", "0.8",
           "--prior", "beta"], "--delta"),
+        # a delta outside (0, 1] is rejected by every command that reads it
+        (["intersect", "--dim", "3", "--u", "0.5", "--r", "0.5", "--delta", "1.5",
+          "--inner", "1000"], "--delta"),
+        (["kappa", "--dim", "3", "--r", "0.5", "--delta", "1.5", "--targets", "10",
+          "--inner", "10"], "--delta"),
     ], ids=["vertex-delta", "vertex-delta-half", "sobol-alpha", "coverage-sobol-alpha",
-            "uniform-alpha", "radius-vertex-delta"])
+            "uniform-alpha", "radius-vertex-delta", "intersect-delta-above-one",
+            "kappa-delta-above-one"])
     def test_unread_delta_or_alpha_exits_2(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
         assert code == 2
@@ -262,9 +272,9 @@ class TestValidation:
         assert "numeric" in capsys.readouterr().err
 
 
-# (command, flag) pairs each subparser accepts, seed/threads/out/config included
+# (command, flag) pairs each subparser accepts, seed/out/config included
 ACCEPTED_FLAGS = {"coverage": 15, "radius": 13, "delta-sweep": 12, "ngamma": 11,
-                  "intersect": 11, "sobol-compare": 11, "table1": 10, "kappa": 10, "design": 10}
+                  "intersect": 10, "sobol-compare": 11, "table1": 10, "kappa": 9, "design": 9}
 
 
 class TestFieldTable:
@@ -283,13 +293,18 @@ class TestFieldTable:
             else:
                 assert getattr(args, name) is not None
                 accepted.append(name)
-        assert set(accepted) == {*_COMMANDS[command][1], "seed", "threads", "out", "config"}
+        assert set(accepted) == {*_COMMANDS[command][1], "seed", "out", "config"}
         assert len(accepted) == ACCEPTED_FLAGS[command]
 
-    @pytest.mark.parametrize("argv, flag", [(["radius", "--bounds"], "--bounds"),
-                                            (["radius", "--r-grid", "0.5"], "--r-grid"),
-                                            (["ngamma", "--dim", "10", "--r", "0.55"], "--r")],
-                             ids=["radius-bounds", "radius-r-grid", "ngamma-abbrev"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["radius", "--bounds"], "--bounds"),
+        (["radius", "--r-grid", "0.5"], "--r-grid"),
+        (["ngamma", "--dim", "10", "--r", "0.55"], "--r"),
+        (["kappa", "--dim", "3", "--r", "0.5", "--threads", "4"], "--threads"),
+        (["intersect", "--dim", "3", "--r", "0.5", "--threads", "4"], "--threads"),
+        (["design", "--dim", "3", "--n", "4", "--threads", "4"], "--threads"),
+    ], ids=["radius-bounds", "radius-r-grid", "ngamma-abbrev", "kappa-threads",
+            "intersect-threads", "design-threads"])
     def test_undeclared_flag_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--seed", "1"])

@@ -11,7 +11,6 @@ from cubecover.coverage import (
     _inner_mc_probabilities,
     _paired_distance_sample,
     _product_form_estimate,
-    approx_covering_radius,
     coverage_design_averaged,
     coverage_design_conditional,
     coverage_product_form,
@@ -149,7 +148,7 @@ class TestProductForm:
         targets = np.random.default_rng(31).random((128, d))
         tracemalloc.start()
         try:
-            _inner_mc_probabilities(targets, 1.0, 1.0, 2.0, inner, SeededStream(32), 128)
+            _inner_mc_probabilities(targets, 1.0, 1.0, 2.0, inner, SeededStream(32))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -159,7 +158,7 @@ class TestProductForm:
     def test_inner_mc_sub_batches_do_not_change_probabilities(self, monkeypatch, alpha):
         inner, d = 500, 6
         targets = np.random.default_rng(33).random((300, d))
-        args = (targets, 0.8, alpha, 0.7, inner, SeededStream(34), 128)
+        args = (targets, 0.8, alpha, 0.7, inner, SeededStream(34))
         monkeypatch.setattr(coverage_module, "_MC_BLOCK_BYTES", 1 << 40)  # one draw per chunk
         whole = _inner_mc_probabilities(*args)
         monkeypatch.setattr(coverage_module, "_MC_BLOCK_BYTES", 7 * inner * d * 8)  # 7 targets
@@ -243,31 +242,6 @@ class TestProductFormApproximation:
         est = product_form_approximation(q, 1_000_000, SeededStream(24))
         da = coverage_design_averaged(q, 4, 20_000, SeededStream(25))
         assert est.value >= da.value - 3 * joint_se(est, da)
-
-
-class TestCoveringRadius:
-    def test_single_center_point_d2(self):
-        design = Design(np.array([[0.5, 0.5]]))
-        est = approx_covering_radius(design, 200_000, SeededStream(26))
-        exact = math.sqrt(2) / 2
-        assert est <= exact + 1e-12
-        assert est > exact - 0.01
-
-    def test_corners_plus_center_d2(self):
-        pts = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [0.5, 0.5]], dtype=float)
-        # fine-grid oracle for CR of this 5-point set
-        g = np.linspace(0, 1, 401)
-        xx, yy = np.meshgrid(g, g)
-        grid = np.column_stack([xx.ravel(), yy.ravel()])
-        d2 = ((grid[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-        exact = math.sqrt(d2.max())
-        est = approx_covering_radius(Design(pts), 200_000, SeededStream(27))
-        assert est <= exact + 1e-9
-        assert est > exact - 0.02
-
-    def test_probe_count_validation(self):
-        with pytest.raises(ValueError):
-            approx_covering_radius(Design(np.zeros((1, 2))), 0, SeededStream(28))
 
 
 class TestRecords:

@@ -1,21 +1,26 @@
-"""The demos and the README's Python quickstart import only names that exist.
-
-No test runs the demos, so a public name removed from the package would
-otherwise break them silently.
+"""The demos run, and they and the README's Python quickstart import only
+names that exist, so a public name removed or changed in the package cannot
+break them silently.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cubecover
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _sources() -> list[tuple[str, str]]:
-    found = [(path.name, path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    found = [(path.name, path.read_text()) for path in DEMOS]
     readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     found += [(f"README.md-python-{k}", block) for k, block in enumerate(blocks)]
@@ -40,3 +45,12 @@ def test_imported_names_exist(text):
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs(path, tmp_path):
+    src = str(Path(cubecover.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -12,13 +12,9 @@ from hypothesis import strategies as st
 
 import cubecover.geometry as geometry_module
 from cubecover.geometry import (
-    Ball,
-    DeltaCube,
     first_hit_index,
     log_unit_ball_volume,
-    min_distance_to_set,
     min_squared_distances,
-    squared_distance,
     unit_ball_volume,
 )
 from cubecover.sampling import IidRows, SamplingScheme, draw_iid_rows
@@ -66,59 +62,41 @@ class TestUnitBallVolume:
             unit_ball_volume(d)
 
 
-class TestSquaredDistance:
-    def test_pythagorean(self):
-        assert squared_distance([0, 0], [3, 4]) == 25.0
-
-    def test_identity(self):
-        p = np.linspace(0, 1, 7)
-        assert squared_distance(p, p) == 0.0
-
-    def test_constant_offset_d20(self):
-        a = np.full(20, 0.5)
-        b = np.full(20, 0.75)
-        assert squared_distance(a, b) == pytest.approx(1.25, rel=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            squared_distance([1, 2], [1, 2, 3])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=1, max_size=6))
-    def test_symmetry_and_zero_iff_equal(self, coords):
-        a = np.asarray(coords)
-        b = a[::-1].copy()
-        assert squared_distance(a, b) == pytest.approx(squared_distance(b, a), rel=1e-12)
-        if np.all(a == b):
-            assert squared_distance(a, b) == 0.0
-        elif np.max(np.abs(a - b)) > 1e-150:  # below this, squaring underflows
-            assert squared_distance(a, b) > 0.0
-
-
 class TestMinDistance:
+    """Nearest distances to small point sets, on both engines, against float64."""
+
+    ENGINES = ("kdtree", "blas")
+
     def test_simple(self):
-        assert min_distance_to_set([0, 0], [[1, 0], [0, 2]]) == pytest.approx(1.0)
+        for engine in self.ENGINES:
+            d2 = min_squared_distances([[0, 0]], [[1, 0], [0, 2]], engine=engine)
+            assert d2[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_coincident(self):
-        assert min_distance_to_set([0.3, 0.7], [[0.1, 0.1], [0.3, 0.7]]) == 0.0
+        pts = [[0.1, 0.1], [0.3, 0.7]]
+        assert min_squared_distances([[0.3, 0.7]], pts, engine="kdtree")[0] == 0.0
+        assert min_squared_distances([[0.3, 0.7]], pts, engine="blas")[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_1d(self):
-        assert min_distance_to_set([0.5], [[0.1], [0.9]]) == pytest.approx(0.4)
+        for engine in self.ENGINES:
+            d2 = min_squared_distances([[0.5]], [[0.1], [0.9]], engine=engine)
+            assert d2[0] == pytest.approx(0.16, abs=1e-6)
 
     def test_empty_design(self):
-        with pytest.raises(ValueError):
-            min_distance_to_set([0.5], np.empty((0, 1)))
+        for engine in self.ENGINES:
+            with pytest.raises(ValueError, match="empty"):
+                min_squared_distances([[0.5]], np.empty((0, 1)), engine=engine)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 12), st.integers(0, 10**6))
     def test_is_minimum_over_the_set(self, d, npts, seed):
         rng = np.random.default_rng(seed)
-        u = rng.random(d)
+        u = rng.random((1, d))
         pts = rng.random((npts, d))
-        got = min_distance_to_set(u, pts)
-        per_point = [math.sqrt(squared_distance(u, p)) for p in pts]
-        assert got <= min(per_point) + 1e-12
-        assert any(abs(got - v) < 1e-9 for v in per_point)
+        exact = float(np.min(np.sum((pts - u) ** 2, axis=1)))
+        assert min_squared_distances(u, pts, engine="kdtree")[0] == pytest.approx(exact, abs=1e-12)
+        # float32 error bound eps32 * d * (||u'||^2 + max ||x'||^2) <= 2**-23 * 5 * 2.5
+        assert min_squared_distances(u, pts, engine="blas")[0] == pytest.approx(exact, abs=2e-6)
 
 
 class TestNearestDistanceEngines:
@@ -406,35 +384,6 @@ def _run_fresh(script: str) -> None:
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-
-
-class TestCubesAndBalls:
-    def test_delta_cube_bounds(self):
-        c = DeltaCube(0.5, 3)
-        assert c.lower == 0.25 and c.upper == 0.75
-        assert c.contains([0.3, 0.5, 0.7])
-        assert not c.contains([0.2, 0.5, 0.5])
-
-    def test_delta_one_recovers_unit_cube(self):
-        c = DeltaCube(1.0, 2)
-        assert c.lower == 0.0 and c.upper == 1.0
-
-    def test_farthest_corner(self):
-        c = DeltaCube(1.0, 2)
-        assert c.farthest_corner_distance([0.0, 0.0]) == pytest.approx(math.sqrt(2))
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            DeltaCube(0.0, 3)
-        with pytest.raises(ValueError):
-            DeltaCube(1.2, 3)
-
-    def test_ball(self):
-        b = Ball(np.array([0.5, 0.5]), 0.25)
-        assert b.contains([0.5, 0.7])
-        assert not b.contains([0.5, 0.8])
-        with pytest.raises(ValueError):
-            Ball(np.array([0.0]), -1.0)
 
 
 class TestBlockShapeBits:

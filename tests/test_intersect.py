@@ -10,7 +10,6 @@ from scipy.stats import norm
 
 from cubecover.geometry import unit_ball_volume
 from cubecover.intersect import (
-    EdgeworthConfig,
     _hermite,
     _partitions,
     ball_probability,
@@ -172,7 +171,7 @@ class TestEdgeworth:
     def test_order_zero_is_clt(self):
         u = np.array([0.42, 0.66, 0.5, 0.81])
         for r in np.linspace(0.1, 1.4, 14):
-            assert edgeworth_probability(u, 0.8, 1.0, r, EdgeworthConfig(order=0)) == pytest.approx(
+            assert edgeworth_probability(u, 0.8, 1.0, r, order=0) == pytest.approx(
                 clt_probability(u, 0.8, 1.0, r), abs=1e-14
             )
 
@@ -182,7 +181,7 @@ class TestEdgeworth:
         ms = sum_moments(u, 1.0)
         for sign in (+1.0, -1.0):
             r = math.sqrt(ms.mean + sign * ms.std)
-            got = edgeworth_probability(u, 1.0, 1.0, r, EdgeworthConfig(order=1))
+            got = edgeworth_probability(u, 1.0, 1.0, r, order=1)
             assert got == pytest.approx(norm.cdf(sign), abs=1e-12)
 
     def test_order_one_beats_clt_in_max_error(self):
@@ -201,7 +200,7 @@ class TestEdgeworth:
     def test_order_two_stays_in_range_when_clamped(self):
         u = np.full(10, 0.75)
         for r in np.linspace(0.05, 2.0, 30):
-            v = edgeworth_probability(u, 1.0, 1.0, r, EdgeworthConfig(order=2))
+            v = edgeworth_probability(u, 1.0, 1.0, r, order=2)
             assert 0.0 <= v <= 1.0
 
     def test_monotone_in_r_over_working_range(self):
@@ -211,7 +210,7 @@ class TestEdgeworth:
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            EdgeworthConfig(order=3)
+            edgeworth_probability(np.full(3, 0.4), 1.0, 1.0, 0.5, order=3)
 
     def test_symmetry_under_permutation_and_reflection(self):
         u = np.array([0.2, 0.45, 0.7, 0.9])
@@ -231,8 +230,8 @@ class TestBallProbabilityBatch:
             assert np.array_equal(clt, ball_probability_batch(U, 0.7, alpha, r, order=0))
             for order in (0, 1, 2):
                 for clamp in (True, False):
-                    cfg = EdgeworthConfig(order=order, clamp=clamp)
-                    scalar = np.array([edgeworth_probability(u, 0.7, alpha, r, cfg) for u in U])
+                    scalar = np.array([edgeworth_probability(u, 0.7, alpha, r, order=order,
+                                                             clamp=clamp) for u in U])
                     assert np.array_equal(scalar, ball_probability_batch(U, 0.7, alpha, r, order, clamp))
 
     def test_negative_radius_rejected(self):

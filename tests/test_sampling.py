@@ -16,7 +16,6 @@ from cubecover.sampling import (
     hamming_threshold,
     min_hamming_vertex_design,
     sample_design,
-    sample_target,
     sample_targets,
 )
 from cubecover.streams import SeededStream
@@ -118,8 +117,8 @@ class TestBetaScheme:
 
 class TestTargetPriors:
     def test_uniform_support(self):
-        x = sample_target(TargetPrior.uniform(5), SeededStream(9))
-        assert x.shape == (5,)
+        x = sample_targets(TargetPrior.uniform(5), 1, SeededStream(9))
+        assert x.shape == (1, 5)
         assert np.all((0 <= x) & (x <= 1))
 
     def test_arcsine_cdf_checkpoint(self):
