@@ -6,8 +6,6 @@ fix the radius the asymptotic theory says should cover 90% of the cube and
 measure what n = 1000 uniform points actually cover.
 """
 
-import numpy as np
-
 from cubecover import (
     CoverageQuery,
     SamplingScheme,

@@ -5,8 +5,6 @@ Carlo curve F_d(r, X_n), the asymptotic law 1 - exp(-n V_d r^d), both Jensen
 bounds, and the product-form approximation 1 - (1 - p_bar)^n.
 """
 
-import math
-
 import numpy as np
 
 from cubecover import (
@@ -14,9 +12,9 @@ from cubecover import (
     SamplingScheme,
     SeededStream,
     TargetPrior,
+    asymptotic_coverage,
     jensen_bound_center,
     jensen_bound_refined,
-    log_unit_ball_volume,
     nearest_distance_sample,
     product_form_approximation,
 )
@@ -32,7 +30,7 @@ d2 = nearest_distance_sample(query, 2, 40_000, stream.child(0), threads=4)
 print(f"{'r':>5} {'F_mc':>7} {'asym':>7} {'refined':>8} {'center':>7} {'prod-form':>9}")
 for r in np.arange(0.30, 0.95, 0.05):
     f_mc = float((d2 <= r * r).mean())
-    asym = -math.expm1(-n * math.exp(log_unit_ball_volume(d) + d * math.log(r)))
+    asym = asymptotic_coverage(d, n, r)
     qr = query.with_radius(float(r))
     jc = jensen_bound_center(qr)
     jr = jensen_bound_refined(qr)

@@ -45,6 +45,7 @@ from .solvers import (
     LargeCount,
     NGammaResult,
     RadiusCell,
+    asymptotic_coverage,
     asymptotic_radius,
     default_delta_grid,
     delta_sweep,

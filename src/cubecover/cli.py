@@ -31,7 +31,6 @@ from .coverage import (
     nearest_distance_sample,
 )
 from .estimates import CoverageEstimate
-from .geometry import log_unit_ball_volume
 from .intersect import (
     clt_probability,
     edgeworth_probability,
@@ -46,6 +45,7 @@ from .sampling import (
     sample_design,
 )
 from .solvers import (
+    asymptotic_coverage,
     asymptotic_radius,
     default_delta_grid,
     delta_sweep,
@@ -74,12 +74,15 @@ def _number(text: str) -> float:
     return value
 
 
-def _delta(text: str) -> float:
+def _unit_sides(values: list[float], text: str) -> list[float]:
     """The side of C_delta lies in (0, 1], so the cube lies inside [0,1]^d."""
-    value = float(text)
-    if not 0.0 < value <= 1.0:
+    if not all(0.0 < v <= 1.0 for v in values):
         raise CliError(f"must lie in (0, 1], got {text!r}")
-    return value
+    return values
+
+
+def _delta(text: str) -> float:
+    return _unit_sides([float(text)], text)[0]
 
 
 def _threads(text: str) -> int:
@@ -122,11 +125,15 @@ def _parse_grid(text: str) -> list[float]:
     return [start + i * step for i in range(k + 1)]
 
 
+def _delta_grid(text: str) -> list[float]:
+    return _unit_sides(_parse_grid(text), text)
+
+
 # Each field's one conversion from text, shared by flags and config values;
-# defaults stay at the call sites because some differ by command.
+# defaults live in _COMMANDS because some differ by command.
 _FIELDS = {
     "dim": int, "dims": _int_list, "n": int, "r": _number, "r_grid": _parse_grid,
-    "delta": _delta, "delta_grid": _parse_grid, "alpha": _number, "gamma": _number,
+    "delta": _delta, "delta_grid": _delta_grid, "alpha": _number, "gamma": _number,
     "scheme": str, "prior": str, "targets": int, "inner": int, "designs": int,
     "cells": str, "cap": int, "bins": int, "u": _float_list, "bounds": _bool,
     "hamming_nmax": int, "sweep_targets": int,
@@ -176,26 +183,23 @@ def _load_config(path: str, fields) -> dict:
     return cfg
 
 
-class Params:
-    """Flag/config/default resolution; flags always win over the file."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        fields = (*_COMMANDS[args.command][1], *_COMMON)
-        self.cfg = _load_config(args.config, fields) if args.config else {}
-
-    def get(self, name: str, default=None):
-        # no getattr default: reading a field the command does not declare fails
-        flag = getattr(self.args, name)
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Each field the command reads, once: the flag, else the config value, else
+    the table default.  Reading a field the command does not declare fails."""
+    fields = {**_COMMANDS[args.command][1], **_COMMON}
+    cfg = _load_config(args.config, fields) if args.config else {}
+    values = {}
+    for name, default in fields.items():
+        flag = getattr(args, name)
         if flag is not None:
-            return _convert(name, flag, _flag(name))
-        return self.cfg.get(name, default)
-
-    def require(self, name: str):
-        val = self.get(name)
-        if val is None:
+            values[name] = _convert(name, flag, _flag(name))
+        elif name in cfg:
+            values[name] = cfg[name]
+        elif default is _REQUIRED:
             raise CliError(f"missing required field {_flag(name)}")
-        return val
+        else:
+            values[name] = default
+    return argparse.Namespace(**values)
 
 
 def _fmt(v) -> str:
@@ -222,20 +226,20 @@ def _emit(out: str | None, command: str, seed: int, columns: list[str], rows: li
         sys.stdout.write(text)
 
 
-def _scheme(p: Params, dimension: int, *, prior_reads_alpha: bool = False) -> SamplingScheme:
+def _scheme(p: argparse.Namespace, dimension: int, *, prior_reads_alpha: bool = False) -> SamplingScheme:
     """The design law; a delta or alpha that neither it nor the prior reads is an error.
 
     Commands with a ``prior`` field say whether it reads alpha; ``design``
-    has none, and ``p.get("prior")`` would fail there.
+    has none, and ``p.prior`` would fail there.
     """
-    kind = p.get("scheme", "uniform")
-    if kind == "vertex" and p.get("delta") is not None:
+    kind = p.scheme
+    if kind == "vertex" and p.delta is not None:
         raise CliError("--delta is not read by --scheme vertex, whose cube is [1/4, 3/4]^d")
-    if kind != "beta" and not prior_reads_alpha and p.get("alpha") is not None:
+    if kind != "beta" and not prior_reads_alpha and p.alpha is not None:
         raise CliError(f"--alpha is read only by --scheme beta or --prior beta, "
                        f"not by --scheme {kind}")
-    delta = p.get("delta", 1.0)
-    alpha = p.get("alpha", 1.0)
+    delta = 1.0 if p.delta is None else p.delta
+    alpha = 1.0 if p.alpha is None else p.alpha
     if kind == "uniform":
         return SamplingScheme.uniform(dimension, delta)
     if kind == "beta":
@@ -245,62 +249,45 @@ def _scheme(p: Params, dimension: int, *, prior_reads_alpha: bool = False) -> Sa
     return SamplingScheme.vertex(dimension)
 
 
-def _prior(p: Params, dimension: int) -> TargetPrior:
-    if p.get("prior", "uniform") == "beta":
-        return TargetPrior.product_beta(dimension, p.get("alpha", 0.5))
+def _prior(p: argparse.Namespace, dimension: int) -> TargetPrior:
+    if p.prior == "beta":
+        return TargetPrior.product_beta(dimension, 0.5 if p.alpha is None else p.alpha)
     return TargetPrior.uniform(dimension)
 
 
-def _r_grid(p: Params) -> list[float]:
-    grid = p.get("r_grid")
-    if grid is not None:
-        return grid
-    r = p.get("r")
-    if r is None:
+def _r_grid(p: argparse.Namespace) -> list[float]:
+    if p.r is not None and p.r_grid is not None:
+        raise CliError("--r and --r-grid were both given; give one of them")
+    if p.r is None and p.r_grid is None:
         raise CliError("missing required field --r or --r-grid")
-    return [r]
-
-
-def _asymptotic_coverage(d: int, n: int, r: float) -> float:
-    # F(n^{1/d} V_d^{1/d} r) = 1 - exp(-n V_d r^d)
-    if r <= 0:
-        return 0.0
-    return -math.expm1(-n * math.exp(log_unit_ball_volume(d) + d * math.log(r)))
+    return [p.r] if p.r_grid is None else p.r_grid
 
 
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
-def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim")
-    n = p.require("n")
-    seed = p.require("seed")
+def cmd_coverage(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    d, n = p.dim, p.n
     r_values = _r_grid(p)
-    scheme = _scheme(p, d, prior_reads_alpha=p.get("prior") == "beta")
-    prior = _prior(p, d)
-    n_targets = p.get("targets", 20_000)
-    n_designs = p.get("designs", 2)
-    threads = p.get("threads", 1)
-    with_bounds = p.get("bounds", False)
-    stream = SeededStream(seed)
-
-    query = CoverageQuery(d, max(r_values), n, scheme, prior)
+    scheme = _scheme(p, d, prior_reads_alpha=p.prior == "beta")
+    query = CoverageQuery(d, max(r_values), n, scheme, _prior(p, d))
+    stream = SeededStream(p.seed)
     # a Sobol or vertex run scores one design, not an average over design draws
-    d2 = nearest_distance_sample(query, n_designs if scheme.is_iid else 1, n_targets, stream,
-                                 threads=threads, settle_radius=min(r_values))
+    d2 = nearest_distance_sample(query, p.designs if scheme.is_iid else 1, p.targets, stream,
+                                 threads=p.threads, settle_radius=min(r_values))
     method = "design_averaged" if scheme.is_iid else "design_conditional"
-    if with_bounds:
-        pairs = _paired_distance_sample(query, max(n_targets, 10_000), stream.child(7))
+    if p.bounds:
+        pairs = _paired_distance_sample(query, max(p.targets, 10_000), stream.child(7))
 
     columns = ["r", "coverage", "std_error", "method", "asymptotic"]
-    if with_bounds:
+    if p.bounds:
         columns += ["jensen_center", "jensen_refined", "product_form_approx"]
     rows = []
     for r in r_values:
         est = _averaged_estimate(d2, r)
-        row = [r, est.value, est.std_error, method, _asymptotic_coverage(d, n, r)]
-        if with_bounds:
+        row = [r, est.value, est.std_error, method, asymptotic_coverage(d, n, r)]
+        if p.bounds:
             qr = query.with_radius(r)
             row += [jensen_bound_center(qr), jensen_bound_refined(qr),
                     _product_form_estimate(pairs, r, n).value]
@@ -308,36 +295,21 @@ def cmd_coverage(p: Params) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
-def cmd_radius(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim")
-    n = p.require("n")
-    seed = p.require("seed")
-    gamma = p.get("gamma", 0.1)
-    scheme = _scheme(p, d, prior_reads_alpha=p.get("prior") == "beta")
-    prior = _prior(p, d)
-    r_emp = empirical_radius_quantile(
-        d, n, scheme, prior, gamma, SeededStream(seed),
-        n_targets=p.get("targets", 20_000),
-        n_designs=p.get("designs", 2),
-        threads=p.get("threads", 1),
-    )
+def cmd_radius(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    d, n = p.dim, p.n
+    scheme = _scheme(p, d, prior_reads_alpha=p.prior == "beta")
+    r_emp = empirical_radius_quantile(d, n, scheme, _prior(p, d), p.gamma, SeededStream(p.seed),
+                                      n_targets=p.targets, n_designs=p.designs, threads=p.threads)
     return (["d", "n", "gamma", "r_empirical", "r_asymptotic"],
-            [[d, n, gamma, r_emp, asymptotic_radius(d, n, gamma)]])
+            [[d, n, p.gamma, r_emp, asymptotic_radius(d, n, p.gamma)]])
 
 
-def cmd_table1(p: Params) -> tuple[list[str], list[list]]:
-    seed = p.require("seed")
-    gamma = p.get("gamma", 0.1)
-    cells_text = p.get("cells", "10:1000,20:10000,50:100000")
-    threads = p.get("threads", 1)
-    n_targets = p.get("targets", 20_000)
-    n_designs = p.get("designs", 2)
-    sweep_targets = p.get("sweep_targets", max(2000, n_targets // 4))
-    deltas = p.get("delta_grid", default_delta_grid(0.05))
-    stream = SeededStream(seed)
+def cmd_table1(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    sweep_targets = max(2000, p.targets // 4) if p.sweep_targets is None else p.sweep_targets
+    stream = SeededStream(p.seed)
 
     cells = []
-    for tok in cells_text.split(","):
+    for tok in p.cells.split(","):
         try:
             d_s, n_s = tok.split(":")
             cells.append((int(d_s), int(n_s)))
@@ -347,37 +319,32 @@ def cmd_table1(p: Params) -> tuple[list[str], list[list]]:
     columns = ["d", "n", "gamma", "r_full_cube", "r_delta_cube", "delta_star", "warning"]
     rows = []
     for idx, (d, n) in enumerate(cells):
-        cell = radius_table_cell(d, n, gamma, deltas, stream.child(idx), n_targets=n_targets,
-                                 n_designs=n_designs, sweep_targets=sweep_targets, threads=threads)
-        warning = "low-budget" if gamma * n_targets < 200 else ""
-        rows.append([d, n, gamma, cell.r_full_cube, cell.r_delta_cube, cell.delta_star, warning])
+        cell = radius_table_cell(d, n, p.gamma, p.delta_grid, stream.child(idx),
+                                 n_targets=p.targets, n_designs=p.designs,
+                                 sweep_targets=sweep_targets, threads=p.threads)
+        warning = "low-budget" if p.gamma * p.targets < 200 else ""
+        rows.append([d, n, p.gamma, cell.r_full_cube, cell.r_delta_cube, cell.delta_star, warning])
     return columns, rows
 
 
-def cmd_ngamma(p: Params) -> tuple[list[str], list[list]]:
-    d = p.get("dim", 20)
-    seed = p.require("seed")
-    gamma = p.get("gamma", 0.1)
+def cmd_ngamma(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    d, gamma = p.dim, p.gamma
     default_grid = {20: _parse_grid("0.9:1.15:0.05"), 50: _parse_grid("2.0:2.3:0.05")}.get(d)
-    r_values = p.get("r_grid", default_grid)
+    r_values = default_grid if p.r_grid is None else p.r_grid
     if r_values is None:
         raise CliError("missing required field --r-grid (no default for this --dim)")
-    deltas = p.get("delta_grid", default_delta_grid(0.05))
-    n_targets = p.get("targets", 10_000)
-    n_designs = p.get("designs", 2)
-    n_cap = p.get("cap", 2**22)
-    threads = p.get("threads", 1)
-    stream = SeededStream(seed)
+    stream = SeededStream(p.seed)
+    budget = dict(n_targets=p.targets, n_designs=p.designs, n_cap=p.cap, threads=p.threads)
 
     columns = ["r", "n_full_cube", "n_delta_cube", "delta_star", "n_asym"]
     rows = []
     for j, r in enumerate(r_values):
         full = empirical_n_gamma(d, r, SamplingScheme.uniform(d, 1.0), gamma, stream.child(2 * j),
-                                 n_targets=n_targets, n_designs=n_designs, n_cap=n_cap, threads=threads)
-        best, _ = empirical_n_gamma_best_delta(d, r, gamma, stream.child(2 * j + 1), deltas=deltas,
-                                               n_targets=n_targets, n_designs=n_designs, n_cap=n_cap,
+                                 **budget)
+        best, _ = empirical_n_gamma_best_delta(d, r, gamma, stream.child(2 * j + 1),
+                                               deltas=p.delta_grid,
                                                initial_cap=full.n if full.status == "ok" else None,
-                                               threads=threads)
+                                               **budget)
         asym = n_gamma_asymptotic(d, r, gamma)
         n_asym = "inf" if asym.overflowed else str(round(asym.value))
         rows.append([r, full.csv_value(), best.csv_value(),
@@ -385,59 +352,39 @@ def cmd_ngamma(p: Params) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
-def cmd_intersect(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim")
-    seed = p.require("seed")
-    u_vals = p.get("u", [0.5])
-    if len(u_vals) == 1:
-        u = np.full(d, u_vals[0])
-    elif len(u_vals) == d:
-        u = np.array(u_vals)
+def cmd_intersect(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    d = p.dim
+    if len(p.u) == 1:
+        u = np.full(d, p.u[0])
+    elif len(p.u) == d:
+        u = np.array(p.u)
     else:
         raise CliError(f"--u must be a scalar or {d} comma-separated coordinates")
-    delta = p.get("delta", 1.0)
-    alpha = p.get("alpha", 1.0)
-    inner = p.get("inner", 100_000)
-    stream = SeededStream(seed)
+    stream = SeededStream(p.seed)
 
     columns = ["r", "mc_oracle", "mc_std_error", "clt", "edgeworth1", "err_clt", "err_edgeworth1"]
     rows = []
     for j, r in enumerate(_r_grid(p)):
-        oracle = mc_intersection_oracle(u, delta, alpha, r, inner, stream.child(j))
-        clt = clt_probability(u, delta, alpha, r)
-        edg = edgeworth_probability(u, delta, alpha, r, order=1)
+        oracle = mc_intersection_oracle(u, p.delta, p.alpha, r, p.inner, stream.child(j))
+        clt = clt_probability(u, p.delta, p.alpha, r)
+        edg = edgeworth_probability(u, p.delta, p.alpha, r, order=1)
         rows.append([r, oracle.value, oracle.std_error, clt, edg,
                      abs(clt - oracle.value), abs(edg - oracle.value)])
     return columns, rows
 
 
-def cmd_kappa(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim")
-    seed = p.require("seed")
-    r = p.require("r")
-    delta = p.get("delta", 1.0)
-    n_outer = p.get("targets", 2000)
-    n_inner = p.get("inner", 2000)
-    bins = p.get("bins", 50)
-    sample = kappa_density_sample(d, r, delta, n_outer, n_inner, SeededStream(seed))
-    hist, edges = np.histogram(sample, bins=bins, range=(0.0, max(1.0, float(sample.max()))), density=True)
+def cmd_kappa(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    sample = kappa_density_sample(p.dim, p.r, p.delta, p.targets, p.inner, SeededStream(p.seed))
+    hist, edges = np.histogram(sample, p.bins, range=(0.0, max(1.0, float(sample.max()))), density=True)
     rows = [[float(edges[i]), float(edges[i + 1]), float(hist[i])] for i in range(len(hist))]
     return ["bin_lo", "bin_hi", "density"], rows
 
 
-def cmd_sobol_compare(p: Params) -> tuple[list[str], list[list]]:
-    seed = p.require("seed")
-    n = p.get("n", 1024)
-    gamma = p.get("gamma", 0.1)
-    dims = p.get("dims", [5, 10, 15, 20])
-    n_targets = p.get("targets", 20_000)
-    n_designs = p.get("designs", 2)
-    threads = p.get("threads", 1)
-    deltas = p.get("delta_grid", default_delta_grid(0.1))
-    r_flag = p.get("r")
-    if r_flag is not None and r_flag <= 0:
-        raise CliError(f"--r must be > 0, got {r_flag}")
-    stream = SeededStream(seed)
+def cmd_sobol_compare(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    n, n_targets, n_designs, threads = p.n, p.targets, p.designs, p.threads
+    if p.r is not None and p.r <= 0:
+        raise CliError(f"--r must be > 0, got {p.r}")
+    stream = SeededStream(p.seed)
     if n & (n - 1):
         print(f"[cubecover] note: n={n} is not a power of two; Sobol balance is best at n=2^m",
               file=sys.stderr)
@@ -445,14 +392,14 @@ def cmd_sobol_compare(p: Params) -> tuple[list[str], list[list]]:
     columns = ["d", "r", "f_uniform", "f_uniform_se", "f_sobol", "f_sobol_se",
                "delta_star", "f_uniform_dstar", "f_sobol_dstar", "ratio_dstar"]
     rows = []
-    for j, d in enumerate(dims):
+    for j, d in enumerate(p.dims):
         sub = stream.child(j)
-        r = asymptotic_radius(d, n, gamma) if r_flag is None else r_flag
+        r = asymptotic_radius(d, n, p.gamma) if p.r is None else p.r
         prior = TargetPrior.uniform(d)
         f_u = coverage_design_averaged(CoverageQuery.uniform(d, r, n), n_designs, n_targets,
                                        sub.child(0), threads=threads)
         f_s = _sobol_coverage(d, n, r, 1.0, prior, sub.child(1), n_targets, threads)
-        sweep = delta_sweep(d, n, r, prior, 1.0, deltas, sub.child(2),
+        sweep = delta_sweep(d, n, r, prior, 1.0, p.delta_grid, sub.child(2),
                             n_targets=max(2000, n_targets // 4), n_designs=1, threads=threads)
         ds = sweep.best_delta
         f_ud = coverage_design_averaged(CoverageQuery.uniform(d, r, n, ds), n_designs, n_targets,
@@ -470,63 +417,77 @@ def _sobol_coverage(d, n, r, delta, prior, stream, n_targets, threads) -> Covera
     return coverage_design_conditional(query, design, n_targets, stream.child(0), threads=threads)
 
 
-def cmd_delta_sweep(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim")
-    n = p.require("n")
-    r = p.require("r")
-    seed = p.require("seed")
-    res = delta_sweep(
-        d, n, r, _prior(p, d), p.get("alpha", 1.0), p.get("delta_grid", default_delta_grid(0.05)),
-        SeededStream(seed),
-        n_targets=p.get("targets", 20_000),
-        n_designs=p.get("designs", 1),
-        threads=p.get("threads", 1),
-    )
+def cmd_delta_sweep(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    res = delta_sweep(p.dim, p.n, p.r, _prior(p, p.dim), 1.0 if p.alpha is None else p.alpha,
+                      p.delta_grid, SeededStream(p.seed),
+                      n_targets=p.targets, n_designs=p.designs, threads=p.threads)
     rows = [[delta, est.value, est.std_error, int(delta == res.best_delta)]
             for delta, est in res.grid]
     return ["delta", "coverage", "std_error", "is_best"], rows
 
 
-def cmd_design(p: Params) -> tuple[list[str], list[list]]:
-    d = p.require("dim")
-    seed = p.require("seed")
+def cmd_design(p: argparse.Namespace) -> tuple[list[str], list[list]]:
+    d = p.dim
     scheme = _scheme(p, d)
-    stream = SeededStream(seed)
-    hamming_nmax = p.get("hamming_nmax")
-    if hamming_nmax is None:
-        design = sample_design(scheme, p.require("n"), stream)
+    stream = SeededStream(p.seed)
+    if p.hamming_nmax is None:
+        if p.n is None:
+            raise CliError("missing required field --n")
+        design = sample_design(scheme, p.n, stream)
     else:
         if scheme.kind is not SchemeKind.VERTEX_DESIGN:
             raise CliError(f"--hamming-nmax is read only by --scheme vertex, "
-                           f"not by --scheme {p.get('scheme', 'uniform')}")
-        if p.get("n") is not None:
+                           f"not by --scheme {p.scheme}")
+        if p.n is not None:
             raise CliError("--n is not read with --hamming-nmax, which finds the design size itself")
-        design = min_hamming_vertex_design(d, hamming_nmax, stream)
+        design = min_hamming_vertex_design(d, p.hamming_nmax, stream)
         if design.shortfall:
             print(f"[cubecover] hamming design shortfall: only {design.n} points found", file=sys.stderr)
     columns = [f"x{j}" for j in range(d)]
     return columns, [list(map(float, row)) for row in design.points]
 
 
-_SCHEME = ("scheme", "delta", "alpha")
-_COMMON = ("seed", "out")  # read by every command, as is --config
-_COMMANDS = {  # command: (function, the fields it reads besides _COMMON and config)
-    "coverage": (cmd_coverage, ("dim", "n", "r", "r_grid", *_SCHEME, "prior", "targets",
-                                "designs", "bounds", "threads")),
-    "table1": (cmd_table1, ("gamma", "cells", "targets", "designs", "sweep_targets",
-                            "delta_grid", "threads")),
-    "ngamma": (cmd_ngamma, ("dim", "gamma", "r_grid", "delta_grid", "targets", "designs",
-                            "cap", "threads")),
-    "intersect": (cmd_intersect, ("dim", "u", "delta", "alpha", "inner", "r", "r_grid")),
-    "kappa": (cmd_kappa, ("dim", "r", "delta", "targets", "inner", "bins")),
-    "sobol-compare": (cmd_sobol_compare, ("n", "gamma", "dims", "targets", "designs",
-                                          "delta_grid", "r", "threads")),
-    "delta-sweep": (cmd_delta_sweep, ("dim", "n", "r", "prior", "alpha", "delta_grid",
-                                      "targets", "designs", "threads")),
-    "radius": (cmd_radius, ("dim", "n", "gamma", *_SCHEME, "prior", "targets", "designs",
-                            "threads")),
-    "design": (cmd_design, ("dim", "n", *_SCHEME, "hamming_nmax")),
+# Each command's fields besides _COMMON and config, with their defaults.
+# _REQUIRED fields must be given; a None default means "not given" and is
+# resolved by the command (a computed default, or a flag only some laws read).
+_REQUIRED = object()
+_COMMON = {"seed": _REQUIRED, "out": None}  # read by every command, as is --config
+_SCHEME = {"scheme": "uniform", "delta": None, "alpha": None}
+_DELTAS = tuple(default_delta_grid(0.05))
+_COMMANDS = {
+    "coverage": (cmd_coverage, {
+        "dim": _REQUIRED, "n": _REQUIRED, "r": None, "r_grid": None, **_SCHEME,
+        "prior": "uniform", "targets": 20_000, "designs": 2, "bounds": False, "threads": 1}),
+    "table1": (cmd_table1, {
+        "gamma": 0.1, "cells": "10:1000,20:10000,50:100000", "targets": 20_000, "designs": 2,
+        "sweep_targets": None, "delta_grid": _DELTAS, "threads": 1}),
+    "ngamma": (cmd_ngamma, {
+        "dim": 20, "gamma": 0.1, "r_grid": None, "delta_grid": _DELTAS, "targets": 10_000,
+        "designs": 2, "cap": 2**22, "threads": 1}),
+    "intersect": (cmd_intersect, {
+        "dim": _REQUIRED, "u": (0.5,), "delta": 1.0, "alpha": 1.0, "inner": 100_000,
+        "r": None, "r_grid": None}),
+    "kappa": (cmd_kappa, {
+        "dim": _REQUIRED, "r": _REQUIRED, "delta": 1.0, "targets": 2000, "inner": 2000,
+        "bins": 50}),
+    "sobol-compare": (cmd_sobol_compare, {
+        "n": 1024, "gamma": 0.1, "dims": (5, 10, 15, 20), "targets": 20_000, "designs": 2,
+        "delta_grid": tuple(default_delta_grid(0.1)), "r": None, "threads": 1}),
+    "delta-sweep": (cmd_delta_sweep, {
+        "dim": _REQUIRED, "n": _REQUIRED, "r": _REQUIRED, "prior": "uniform", "alpha": None,
+        "delta_grid": _DELTAS, "targets": 20_000, "designs": 1, "threads": 1}),
+    "radius": (cmd_radius, {
+        "dim": _REQUIRED, "n": _REQUIRED, "gamma": 0.1, **_SCHEME, "prior": "uniform",
+        "targets": 20_000, "designs": 2, "threads": 1}),
+    "design": (cmd_design, {"dim": _REQUIRED, "n": None, **_SCHEME, "hamming_nmax": None}),
 }
+
+
+def _help(default) -> str:
+    if default is _REQUIRED:
+        return "required"
+    shown = ",".join(map(_fmt, default)) if isinstance(default, tuple) else _fmt(default)
+    return "optional" if default is None else f"default: {shown}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -536,11 +497,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, fields) in _COMMANDS.items():
         # no abbreviations: ngamma --r must not become --r-grid
         sp = sub.add_parser(command, allow_abbrev=False)
-        for name in (*fields, *_COMMON, "config"):
-            if _FIELDS[name] is _bool:
-                sp.add_argument(_flag(name), dest=name, action="store_const", const="1")
-            else:
-                sp.add_argument(_flag(name), dest=name, choices=_CHOICES.get(name))
+        for name, default in {**fields, **_COMMON}.items():
+            kind = (dict(action="store_const", const="1") if _FIELDS[name] is _bool
+                    else dict(choices=_CHOICES.get(name)))
+            sp.add_argument(_flag(name), dest=name, help=_help(default), **kind)
+        sp.add_argument("--config", help="file of 'key = value' lines; flags win over it")
     return parser
 
 
@@ -548,17 +509,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        params = Params(args)
-        columns, rows = _COMMANDS[args.command][0](params)
-        seed = params.require("seed")
-        out = params.get("out")
+        p = _resolve(args)
+        columns, rows = _COMMANDS[args.command][0](p)
     except ValueError as exc:
         print(f"cubecover {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FloatingPointError, OverflowError, RuntimeError) as exc:
         print(f"cubecover {args.command}: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(out, args.command, seed, columns, rows)
+    _emit(p.out, args.command, p.seed, columns, rows)
     print(f"[cubecover] {args.command} finished in {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return EXIT_OK
 

@@ -30,6 +30,7 @@ __all__ = [
     "LargeCount",
     "NGammaResult",
     "RadiusCell",
+    "asymptotic_coverage",
     "asymptotic_radius",
     "default_delta_grid",
     "delta_sweep",
@@ -131,6 +132,14 @@ def asymptotic_radius(d: int, n: int, gamma) -> float:
     g = _as_gamma(gamma)
     log_r = (math.log(-math.log(g.gamma)) - math.log(n) - log_unit_ball_volume(d)) / d
     return math.exp(log_r)
+
+
+def asymptotic_coverage(d: int, n: int, r: float) -> float:
+    """1 - exp(-n V_d r^d): the coverage n balls of radius r reach asymptotically,
+    the limit law F(n^{1/d} V_d^{1/d} r) of the scaled nearest distance."""
+    if r <= 0:
+        return 0.0
+    return -math.expm1(-n * math.exp(log_unit_ball_volume(d) + d * math.log(r)))
 
 
 def empirical_radius_quantile(

@@ -22,7 +22,6 @@ from cubecover.intersect import (
 )
 from cubecover.sampling import SamplingScheme, TargetPrior, draw_delta_cube, sample_design, sample_targets
 from cubecover.solvers import (
-    asymptotic_radius,
     empirical_n_gamma,
     empirical_n_gamma_best_delta,
     empirical_radius_quantile,

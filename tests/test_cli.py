@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -8,14 +9,19 @@ import pytest
 from cubecover.cli import (
     _COMMANDS,
     _FIELDS,
-    _asymptotic_coverage,
     _build_parser,
     _emit,
     _parse_grid,
     main,
 )
 from cubecover.coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
-from cubecover.solvers import GammaLevel, _exact_radius, default_delta_grid, radius_best_delta
+from cubecover.solvers import (
+    GammaLevel,
+    _exact_radius,
+    asymptotic_coverage,
+    default_delta_grid,
+    radius_best_delta,
+)
 from cubecover.streams import SeededStream
 
 
@@ -78,7 +84,7 @@ class TestCoverageCommand:
         for r in r_values:
             est = _averaged_estimate(full, r)
             rows.append([r, est.value, est.std_error, "design_averaged",
-                         _asymptotic_coverage(d, n, r)])
+                         asymptotic_coverage(d, n, r)])
         assert 0.05 < rows[0][1] and rows[-1][1] < 0.95
         expected = tmp_path / "expected.csv"
         _emit(str(expected), "coverage", seed,
@@ -178,9 +184,14 @@ class TestValidation:
           "--inner", "1000"], "--delta"),
         (["kappa", "--dim", "3", "--r", "0.5", "--delta", "1.5", "--targets", "10",
           "--inner", "10"], "--delta"),
+        # --r beside --r-grid would go unread
+        (["coverage", "--dim", "3", "--n", "10", "--r", "0.9", "--r-grid", "0.2,0.3",
+          "--targets", "500"], "--r-grid"),
+        (["intersect", "--dim", "3", "--r", "0.9", "--r-grid", "0.2", "--inner", "100"],
+         "--r-grid"),
     ], ids=["vertex-delta", "vertex-delta-half", "sobol-alpha", "coverage-sobol-alpha",
             "uniform-alpha", "radius-vertex-delta", "intersect-delta-above-one",
-            "kappa-delta-above-one"])
+            "kappa-delta-above-one", "coverage-r-beside-r-grid", "intersect-r-beside-r-grid"])
     def test_unread_delta_or_alpha_exits_2(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
         assert code == 2
@@ -221,7 +232,14 @@ class TestValidation:
         ["coverage", "--dim", "3", "--n", "10", "--r-grid", ","],
         ["ngamma", "--dim", "10", "--r-grid", ","],
         ["table1", "--cells", "6:200", "--delta-grid", ","],
-    ], ids=["reversed-range", "coverage-empty", "ngamma-empty", "table1-empty-delta"])
+        ["table1", "--cells", "6:200", "--targets", "500", "--delta-grid", "0.5,1.5"],
+        ["delta-sweep", "--dim", "3", "--n", "10", "--r", "0.5", "--delta-grid", "0,1"],
+        ["delta-sweep", "--dim", "3", "--n", "10", "--r", "0.5", "--delta-grid", "1.5"],
+        ["sobol-compare", "--dims", "5", "--delta-grid", "0,1"],
+        ["sobol-compare", "--dims", "5", "--delta-grid", "1.5"],
+    ], ids=["reversed-range", "coverage-empty", "ngamma-empty", "table1-empty-delta",
+            "table1-delta-above-one", "delta-sweep-delta-zero", "delta-sweep-delta-above-one",
+            "sobol-compare-delta-zero", "sobol-compare-delta-above-one"])
     def test_bad_grid(self, tmp_path, capsys, args):
         code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
         assert code == 2
@@ -311,6 +329,14 @@ class TestFieldTable:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_help_shows_table_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coverage", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert re.search(r"--targets TARGETS\s+default:\s+20000\b", text)
+        assert re.search(r"--dim DIM\s+required\b", text)
+
     def test_readme_examples_parse(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
         lines = [line.split("#", 1)[0] for line in readme.read_text().splitlines()
@@ -341,7 +367,8 @@ class TestConfigFile:
                                               ("r_grid = 0.3,-1\n", "r_grid"),
                                               ("scheme = halton\n", "scheme"),
                                               ("config = other.cfg\n", "config"),
-                                              ("gamma = 0.1\n", "gamma")])
+                                              ("gamma = 0.1\n", "gamma"),
+                                              ("r_grid = 0.2,0.3\n", "--r-grid")])
     def test_bad_config_exits_2(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -349,6 +376,15 @@ class TestConfigFile:
                         "--n", "10", "--r", "0.3", "--targets", "500", "--seed", "1")
         assert code == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_delta_grid_range_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("delta_grid = 0.5,1.5\n")
+        code, out = run(tmp_path, "t.csv", "table1", "--config", str(cfg), "--cells", "6:200",
+                        "--targets", "500", "--seed", "1")
+        assert code == 2
+        assert "delta_grid: must lie in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):

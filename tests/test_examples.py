@@ -1,6 +1,6 @@
 """The demos run, and they and the README's Python quickstart import only
 names that exist, so a public name removed or changed in the package cannot
-break them silently.
+break them silently.  No module imports a name it does not use.
 """
 
 import ast
@@ -17,6 +17,9 @@ import cubecover
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# a package __init__ imports names only to re-export them
+MODULES = sorted(path for part in ("src", "tests", "demos") for path in (ROOT / part).rglob("*.py")
+                 if path.name != "__init__.py")
 
 
 def _sources() -> list[tuple[str, str]]:
@@ -54,3 +57,16 @@ def test_demo_runs(path, tmp_path):
     proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(path.relative_to(ROOT)) for path in MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not sorted(imported - used)
