@@ -109,8 +109,9 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
 
     A caller that reads the sample only through ``d2 <= r * r`` for radii
     ``r >= settle_radius`` passes the smallest such radius: the kernel then
-    stops scanning a target once it is within ``settle_radius`` of the
-    design (``settle`` of :func:`cubecover.geometry.min_squared_distances`).
+    stops looking for a target's nearest point once it has found one within
+    ``settle_radius`` (``settle`` of
+    :func:`cubecover.geometry.min_squared_distances`, on either engine).
     Such a target keeps a partial minimum ``<= settle_radius**2``, so every
     one of those comparisons decides as at ``settle_radius = 0``, and every
     value above ``settle_radius**2`` is bit for bit the full scan's; order

@@ -1,11 +1,15 @@
+import importlib.util
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cubecover.coverage as coverage_module
+import cubecover.geometry as geometry_module
 from cubecover.cli import (
     _COMMANDS,
     _FIELDS,
@@ -507,3 +511,43 @@ class TestSobolCompareCommand:
         assert code == 2
         assert "--r" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBenchmarkShape:
+    """The gated benchmark workloads make the kernel calls their traced runs expect.
+
+    ``perfbench/workloads.py`` states, per workload, how many
+    ``min_squared_distances`` calls and KD-tree builds its command makes; a
+    change of engine mix or call structure fails here before it fails the
+    benchmark's traced run.
+    """
+
+    @staticmethod
+    def _workloads(monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
+        return module.WORKLOADS
+
+    @pytest.mark.parametrize("name", ["radius-table", "coverage-d50"])
+    def test_traced_call_counts(self, tmp_path, monkeypatch, name):
+        workload = self._workloads(monkeypatch)[name]
+        counts = {"geometry.min_sq.calls": 0, "geometry.kdtree.calls": 0}
+        real_min_sq, real_tree = coverage_module.min_squared_distances, geometry_module.cKDTree
+
+        def min_sq(*args, **kwargs):
+            counts["geometry.min_sq.calls"] += 1
+            return real_min_sq(*args, **kwargs)
+
+        def tree(*args, **kwargs):
+            counts["geometry.kdtree.calls"] += 1
+            return real_tree(*args, **kwargs)
+
+        monkeypatch.setattr(coverage_module, "min_squared_distances", min_sq)
+        monkeypatch.setattr(geometry_module, "cKDTree", tree)
+        assert set(workload.expect) <= set(counts)
+        code = main([*workload.argv, "--seed", "1", "--out", str(tmp_path / "out.csv")])
+        assert code == 0
+        assert {key: counts[key] for key in workload.expect} == workload.expect

@@ -262,14 +262,17 @@ class TestNearestDistanceEngines:
 class TestSettleBound:
     """``settle`` ends a target's scan early without changing any d2 <= r2 >= settle."""
 
-    @pytest.mark.parametrize("d", [2, 3, 11, 20, 50])
-    @pytest.mark.parametrize("target_chunk", [1024, 7, 2, 1])
-    def test_unsettled_targets_keep_their_bits(self, d, target_chunk):
+    @pytest.mark.parametrize("engine, d, target_chunk", [
+        *(pytest.param("blas", d, c, id=f"{c}-{d}")
+          for d in (2, 3, 11, 20, 50) for c in (1024, 7, 2, 1)),
+        *(pytest.param("kdtree", d, 1024, id=f"kdtree-{d}") for d in (2, 3, 4, 10)),
+    ])
+    def test_unsettled_targets_keep_their_bits(self, engine, d, target_chunk):
         rng = np.random.default_rng(40 + d)
         targets = rng.random((240, d))
         points = rng.random((2500, d))
-        # small point tiles, so targets settle after a few of many tiles
-        kwargs = dict(engine="blas", target_chunk=target_chunk, point_chunk=200)
+        # small point tiles, so BLAS targets settle after a few of many tiles
+        kwargs = dict(engine=engine, target_chunk=target_chunk, point_chunk=200)
         for threads in (1, 2):
             ref = min_squared_distances(targets, points, threads=threads, **kwargs)
             for q in (0.05, 0.3, 0.7, 0.95, 0.999):
@@ -290,12 +293,26 @@ class TestSettleBound:
         got = min_squared_distances(targets, points, engine="blas", point_chunk=512, settle=0.01)
         assert np.array_equal(got, first_tile)
 
-    def test_kdtree_ignores_settle(self):
+    def test_kdtree_settles_on_approximate_neighbours(self):
+        # with settle above every minimum, every target keeps the neighbour
+        # of the approximate query, a design point but often not the nearest
         rng = np.random.default_rng(48)
         targets, points = rng.random((400, 4)), rng.random((3000, 4))
         ref = min_squared_distances(targets, points, engine="kdtree")
-        got = min_squared_distances(targets, points, engine="kdtree", settle=float(np.median(ref)))
-        assert np.array_equal(got, ref)
+        settle = float(ref.max())
+        got = min_squared_distances(targets, points, engine="kdtree", settle=settle)
+        assert np.all((ref <= got) & (got <= settle))
+        assert np.any(got > ref)
+        sq = ((targets[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        assert np.all(np.isclose(sq, got[:, None], rtol=1e-12, atol=0.0).any(axis=1))
+
+    @pytest.mark.parametrize("engine", ["blas", "kdtree"])
+    @pytest.mark.parametrize("settle", [math.nan, -1.0, -math.inf])
+    def test_bad_settle_raises(self, engine, settle):
+        rng = np.random.default_rng(46)
+        targets, points = rng.random((10, 3)), rng.random((100, 3))
+        with pytest.raises(ValueError, match="settle"):
+            min_squared_distances(targets, points, engine=engine, settle=settle)
 
     @pytest.mark.parametrize("d", [20, 50])
     def test_first_hit_does_not_depend_on_hit_block_mates(self, d):
@@ -418,6 +435,18 @@ class TestBlockShapeBits:
         moved = self._tiles(np.vstack([points[2048:], points[:2047]]), targets)
         assert full[1].shape == (1024, 1)
         assert np.array_equal(full[1][:, 0], moved[0][:, 0])
+
+    @pytest.mark.parametrize("d", [31, 50])
+    def test_lone_row_against_a_short_last_chunk(self, d):
+        # a last chunk of 16 points: with at least 32 columns, a lone row is
+        # padded past 1200 outputs, out of OpenBLAS's small-matrix kernel
+        rng = np.random.default_rng(65 + d)
+        targets, points = rng.random((1024, d)), rng.random((2048 + 16, d))
+        full = self._tiles(points, targets)
+        assert full[1].shape == (1024, 16)
+        for i in (0, 517, 1023):
+            lone = self._tiles(points, targets[i:i + 1])
+            assert all(np.array_equal(a[0], b[i]) for a, b in zip(lone, full))
 
     @pytest.mark.parametrize("d", [12, 50])
     def test_min_squared_distances_lone_row(self, d):
