@@ -40,13 +40,6 @@ _KDTREE_SETTLE_EPS = 1.0
 # so the chunk schedule depends only on the number of rows.
 _ROW_CHUNK = 8192
 
-# Fewest multiply-adds in a tile product cut down to a block's active rows,
-# unless the product has too few columns or too many outputs for OpenBLAS's
-# small-matrix kernel; see _CentredExpansion.sweep.
-_MIN_GEMM_WORK = 1 << 20
-_SMALL_GEMM_MIN_K = 32
-_SMALL_GEMM_MAX_OUT = 1200
-
 
 def __getattr__(name: str):
     # Only the KD-tree engine needs scipy.spatial, which is slow to import, so
@@ -138,6 +131,22 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=threads)
 
 
+def _blocked_rows(rows: int, w: int, k: int) -> int:
+    """Fewest tile rows, at least ``rows`` and 2, that keep the product of a
+    ``(rows, k)`` block with ``w`` points out of OpenBLAS's small-matrix kernel.
+
+    numpy's ``block @ points.T`` is OpenBLAS's TN case with M = w, N = rows and
+    K = k.  OpenBLAS 0.3.31's SkylakeX permit sends it to the small kernel
+    when M·N·K <= 1e6, K >= 32 and M·N <= 1200.  Row counts of 8, 16 and
+    32 are also padded while M·N·K <= 1e6, a margin for permits that send
+    those N to it whatever K.
+    """
+    rows = max(rows, 2)
+    while rows * w * k <= 1_000_000 and (rows in (8, 16, 32) or (k >= 32 and rows * w <= 1200)):
+        rows += 1
+    return rows
+
+
 class _CentredExpansion:
     """Blocked float32 evaluation of ||u - x||^2 around the cube's centre.
 
@@ -203,35 +212,30 @@ class _CentredExpansion:
         The walk stops once no target is active.
 
         Each tile is one product of the active rows of ``t``, padded with
-        finished rows of ``t`` and then inert rows [0...0, 1] to at least two
-        rows and, when ``t`` has at least ``_SMALL_GEMM_MIN_K`` columns, to
-        more than ``_SMALL_GEMM_MAX_OUT`` outputs or at least
-        ``_MIN_GEMM_WORK`` multiply-adds, whichever takes fewer rows; a lone
-        last point is multiplied together with the inert point row
-        [0...0, +inf], whose column is not passed on.  BLAS sends one-row or
-        one-column products to gemv and, in OpenBLAS's AVX-512 builds, a
-        product of this transpose case with at least 32 columns, at most 1200
-        outputs and at most 1e6 multiply-adds to a small-matrix kernel; both
-        round differently from the blocked GEMM, which gives a row the same
-        bits whichever rows share its product.  So a target's tile is bit for
-        bit the one it gets in a full block with no row dropped out, whatever
-        the shape of its own block or of the last point chunk.  A padded tile
-        holds at most ``_SMALL_GEMM_MAX_OUT`` outputs plus one row.
+        finished rows of ``t`` and then inert rows [0...0, 1] to the row count
+        of :func:`_blocked_rows`; a lone last point is multiplied together
+        with the inert point row [0...0, +inf], whose column is not passed on.
+        BLAS sends one-row or one-column products to gemv and small products
+        to OpenBLAS's small-matrix kernel; both round differently from the
+        blocked GEMM, which gives a row the same bits whichever rows share its
+        product.  So a target's tile is bit for bit the one it gets in a full
+        block with no row dropped out, whatever the shape of its own block or
+        of the last point chunk.
         """
         m, k = t.shape
         spans = [(j, min(j + self.point_chunk, self.n)) for j in range(0, self.n, self.point_chunk)]
         widths = [max(b - a, 2) for a, b in spans]  # a lone point takes the inert row along
-        floors = [2 if k < _SMALL_GEMM_MIN_K else
-                  max(2, min(_SMALL_GEMM_MAX_OUT // w + 1, -(-_MIN_GEMM_WORK // (w * k))))
-                  for w in widths]
+        # the most rows a tile takes: a block of n <= m live rows pads to no
+        # more than a block of m rows or a lone row does
+        most = {w: max(_blocked_rows(m, w, k), _blocked_rows(1, w, k)) for w in set(widths)}
         # one buffer for all tiles: tiles of ever fewer rows, each allocated
         # afresh, left about 8 MB more resident at d = 50, n = 1e5
-        buf = np.empty(max(max(m, f) * w for f, w in zip(floors, widths)), dtype=np.float32)
-        n_rows = max(m, *floors)
+        buf = np.empty(max(r * w for w, r in most.items()), dtype=np.float32)
+        n_rows = max(most.values())
         live = np.ones(m, dtype=bool)
         n_live, stale, sub = m, True, None  # sub: live rows of t in order, then padding
-        for (j, stop), w, floor in zip(spans, widths, floors):
-            size = max(n_live, floor)
+        for (j, stop), w in zip(spans, widths):
+            size = _blocked_rows(n_live, w, k)
             if stale or sub.shape[0] != size:
                 # compacted rows go to a fresh array of one fixed shape; one
                 # kept for the whole sweep left table1's peak memory 8 MB

@@ -448,6 +448,49 @@ class TestBlockShapeBits:
             lone = self._tiles(points, targets[i:i + 1])
             assert all(np.array_equal(a[0], b[i]) for a, b in zip(lone, full))
 
+    @pytest.mark.parametrize("d, rows", [(12, 16), (12, 32), (50, 8)])
+    def test_blocks_of_8_16_32_rows(self, d, rows):
+        # a last block of 8, 16 or 32 targets, whose product with a full
+        # 2048-point chunk has at most 1e6 multiply-adds, against the same
+        # targets in one block of 1024 + rows
+        rng = np.random.default_rng(75 + rows)
+        targets, points = rng.random((1024 + rows, d)), rng.random((4096, d))
+        got = min_squared_distances(targets, points, engine="blas")
+        whole = min_squared_distances(targets, points, engine="blas", target_chunk=2048)
+        assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("d, rows", [(12, 16), (12, 32), (50, 8)])
+    def test_block_compacted_to_8_16_32_rows(self, d, rows):
+        # a full block whose live rows drop to 8, 16 or 32 after its first tile
+        rng = np.random.default_rng(85 + rows)
+        targets, points = rng.random((1024, d)), rng.random((4096, d))
+        full = self._tiles(points, targets)
+        read, shape, _ = geometry_module._as_points(points)
+        ex = geometry_module._CentredExpansion(read, shape, 2048, 1)
+        kept = np.arange(3, 1024, 1024 // rows)[:rows]
+        got = []
+
+        def visit(j, live, tile):
+            got.append((live.copy(), tile.copy()))
+            return ~np.isin(live, kept)
+
+        ex.sweep(ex.targets(targets)[0], visit)
+        live, tile = got[1]
+        assert np.array_equal(live, kept)
+        assert np.array_equal(tile, full[1][kept])
+
+    @pytest.mark.parametrize("rows, w, k, padded", [
+        (1, 2, 2, 2),          # K < 32, not 8, 16 or 32 rows: only gemv is avoided
+        (16, 2048, 13, 17),    # 16 rows with M·N·K <= 1e6
+        (8, 2048, 51, 9),
+        (16, 2048, 51, 16),    # M·N·K > 1e6: already blocked
+        (1, 16, 51, 76),       # K >= 32: past 1200 outputs
+        (1, 2, 1001, 500),     # K >= 32: past 1e6 multiply-adds before 1200 outputs
+        (1024, 2048, 11, 1024),
+    ])
+    def test_blocked_rows(self, rows, w, k, padded):
+        assert geometry_module._blocked_rows(rows, w, k) == padded
+
     @pytest.mark.parametrize("d", [12, 50])
     def test_min_squared_distances_lone_row(self, d):
         rng = np.random.default_rng(70 + d)
