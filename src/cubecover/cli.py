@@ -226,18 +226,19 @@ def _emit(out: str | None, command: str, seed: int, columns: list[str], rows: li
         sys.stdout.write(text)
 
 
-def _scheme(p: argparse.Namespace, dimension: int, *, prior_reads_alpha: bool = False) -> SamplingScheme:
+def _scheme(p: argparse.Namespace, dimension: int) -> SamplingScheme:
     """The design law; a delta or alpha that neither it nor the prior reads is an error.
 
-    Commands with a ``prior`` field say whether it reads alpha; ``design``
-    has none, and ``p.prior`` would fail there.
+    A beta prior reads alpha too, but only commands with a ``prior`` field
+    have one (``design`` has none), and only their errors name it.
     """
     kind = p.scheme
+    has_prior = "prior" in vars(p)
     if kind == "vertex" and p.delta is not None:
         raise CliError("--delta is not read by --scheme vertex, whose cube is [1/4, 3/4]^d")
-    if kind != "beta" and not prior_reads_alpha and p.alpha is not None:
-        raise CliError(f"--alpha is read only by --scheme beta or --prior beta, "
-                       f"not by --scheme {kind}")
+    if kind != "beta" and p.alpha is not None and not (has_prior and p.prior == "beta"):
+        readers = "--scheme beta or --prior beta" if has_prior else "--scheme beta"
+        raise CliError(f"--alpha is read only by {readers}, not by --scheme {kind}")
     delta = 1.0 if p.delta is None else p.delta
     alpha = 1.0 if p.alpha is None else p.alpha
     if kind == "uniform":
@@ -270,7 +271,7 @@ def _r_grid(p: argparse.Namespace) -> list[float]:
 def cmd_coverage(p: argparse.Namespace) -> tuple[list[str], list[list]]:
     d, n = p.dim, p.n
     r_values = _r_grid(p)
-    scheme = _scheme(p, d, prior_reads_alpha=p.prior == "beta")
+    scheme = _scheme(p, d)
     query = CoverageQuery(d, max(r_values), n, scheme, _prior(p, d))
     stream = SeededStream(p.seed)
     # a Sobol or vertex run scores one design, not an average over design draws
@@ -297,7 +298,7 @@ def cmd_coverage(p: argparse.Namespace) -> tuple[list[str], list[list]]:
 
 def cmd_radius(p: argparse.Namespace) -> tuple[list[str], list[list]]:
     d, n = p.dim, p.n
-    scheme = _scheme(p, d, prior_reads_alpha=p.prior == "beta")
+    scheme = _scheme(p, d)
     r_emp = empirical_radius_quantile(d, n, scheme, _prior(p, d), p.gamma, SeededStream(p.seed),
                                       n_targets=p.targets, n_designs=p.designs, threads=p.threads)
     return (["d", "n", "gamma", "r_empirical", "r_asymptotic"],

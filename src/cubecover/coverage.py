@@ -104,8 +104,9 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
     comparison against r^2, so solvers can draw this sample once, sweep r
     over it with common random numbers, and read radii off it as order
     statistics.  An i.i.d. design goes to the kernel as an :class:`IidRows`
-    row source, so its rows are drawn chunk by chunk into the kernel's
-    float32 rows and no float64 copy of it is ever held.
+    row source, so its rows are drawn one stage at a time into the kernel's
+    float32 rows, and neither a float64 copy nor all of its float32 rows
+    are ever held.
 
     A caller that reads the sample only through ``d2 <= r * r`` for radii
     ``r >= settle_radius`` passes the smallest such radius: the kernel then

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -80,16 +81,25 @@ def as_point(x) -> np.ndarray:
     return p
 
 
+def _run(tasks: list, threads: int) -> list:
+    """Results of the zero-argument callables ``tasks``, in order.
+
+    With ``threads > 1`` they run in the shared worker pool, and the call
+    returns once every one of them has.
+    """
+    if threads <= 1 or len(tasks) == 1:
+        return [task() for task in tasks]
+    return list(_pool(threads).map(lambda task: task(), tasks))
+
+
 def _map_chunks(fn, n_items: int, chunk: int, threads: int) -> list:
     """Apply ``fn(start, stop)`` over fixed chunks, optionally in threads.
 
     The chunk schedule is a pure function of (n_items, chunk), and results are
     combined in chunk order, so the output never depends on ``threads``.
     """
-    spans = [(i, min(i + chunk, n_items)) for i in range(0, n_items, chunk)]
-    if threads <= 1 or len(spans) == 1:
-        return [fn(a, b) for a, b in spans]
-    return list(_pool(threads).map(lambda s: fn(*s), spans))
+    return _run([functools.partial(fn, a, min(a + chunk, n_items))
+                 for a in range(0, n_items, chunk)], threads)
 
 
 def _as_points(points):
@@ -147,18 +157,71 @@ def _blocked_rows(rows: int, w: int, k: int) -> int:
     return rows
 
 
+class _Walk:
+    """One target block's walk over the point tiles, resumed stage by stage.
+
+    ``t`` holds the block's augmented targets [u', 1] and ``visit`` is as in
+    :meth:`_CentredExpansion.sweep`; ``widths`` are the tile widths the walk
+    will meet.  ``n_live`` counts the targets still active.
+    """
+
+    def __init__(self, t: np.ndarray, visit, widths: set[int]):
+        m, k = t.shape
+        self.t, self.visit = t, visit
+        # the most rows a tile takes: _blocked_rows never falls as rows grow
+        self.n_rows = max(_blocked_rows(m, w, k) for w in widths)
+        self.live = np.ones(m, dtype=bool)
+        self.n_live = m
+        self.sub = None  # live rows of t in order, then padding; None until rebuilt
+        self.order = None
+
+    def __call__(self, tiles: list, tile_buffer) -> None:
+        """Visit ``tiles``, each ``(j, stop, points)`` with ``points`` the
+        augmented rows j..stop-1 (and the inert row after a lone point)."""
+        m, k = self.t.shape
+        buf = tile_buffer()
+        for j, stop, points in tiles:
+            w = points.shape[0]
+            size = _blocked_rows(self.n_live, w, k)
+            if self.sub is None or self.sub.shape[0] != size:
+                # compacted rows go to a fresh array of one fixed shape; one
+                # kept for the whole sweep left table1's peak memory 8 MB
+                # higher at most seeds
+                self.order = np.argsort(~self.live, kind="stable")[:size]
+                packed = np.empty((self.n_rows, k), dtype=np.float32)
+                packed[m:] = 0.0
+                packed[m:, -1] = 1.0
+                np.take(self.t, self.order, axis=0, out=packed[:self.order.size])
+                self.sub = packed[:size]
+            rows = self.order[:self.n_live]
+            tile = buf[:size * w].reshape(size, w)
+            np.matmul(self.sub, points.T, out=tile)
+            done = self.visit(j, rows, tile[:self.n_live, :stop - j])
+            if done.any():
+                self.live[rows[done]] = False
+                self.n_live -= int(np.count_nonzero(done))
+                self.sub = None
+                if self.n_live == 0:
+                    return
+
+
 class _CentredExpansion:
     """Blocked float32 evaluation of ||u - x||^2 around the cube's centre.
 
     With u' = u - 1/2 and x' = x - 1/2 the squared distance expands as
-    ||u'||^2 + (||x'||^2 - 2 u'.x').  The points are stored once as the
-    augmented rows [-2 x', ||x'||^2] and a block of targets as [u', 1], so each
-    tile, the bracket for the block against ``point_chunk`` points, is a single
-    float32 GEMM with no further pass over it.  Callers add ||u'||^2 after
-    reducing over the points.  The point rows are filled, and tiles of one
-    call computed, in the shared worker pool of ``_map_chunks``; each
-    ``_ROW_CHUNK``-row chunk is taken from ``read`` (see :func:`_as_points`)
-    only when it is filled, so a row source is never held whole in float64.
+    ||u'||^2 + (||x'||^2 - 2 u'.x').  The points become augmented rows
+    [-2 x', ||x'||^2] and a block of targets [u', 1], so each tile, the
+    bracket for the block against ``point_chunk`` points, is a single float32
+    GEMM with no further pass over it.  Callers add ||u'||^2 after reducing
+    over the points.
+
+    :meth:`sweep` fills the point rows one *stage* at a time: whole
+    ``point_chunk`` tiles, about ``_ROW_CHUNK`` rows per worker thread and a
+    multiple of 4 rows, so every stage starts at a row a row source can
+    start from (see :class:`cubecover.sampling.IidRows`).  Rows come from
+    ``read`` (see :func:`_as_points`) in ``_ROW_CHUNK``-row pieces, so a row
+    source is never held whole in float64.  Peak memory is two stage
+    buffers and one tile per worker, whatever ``n``.
 
     Centring halves each coordinate's magnitude, and the rounding error of the
     expansion is of order eps32 * d * (||u'||^2 + ||x'||^2) (Higham, Accuracy
@@ -167,20 +230,14 @@ class _CentredExpansion:
     """
 
     def __init__(self, read, shape: tuple[int, int], point_chunk: int, threads: int):
+        self.read = read
         self.n, d = shape
-        # after the points, one inert row [0...0, +inf]: see sweep
-        self.pa = np.empty((self.n + 1, d + 1), dtype=np.float32)
-        self.pa[self.n] = 0.0
-        self.pa[self.n, -1] = np.inf
-        self.point_chunk = point_chunk
-
-        def fill(a: int, b: int) -> None:
-            rows = self.pa[a:b]
-            _, x = self.centre(read(a, b), rows)
-            rows[:, -1] = np.einsum("ij,ij->i", x, x)
-            x *= np.float32(-2.0)
-
-        _map_chunks(fill, self.n, _ROW_CHUNK, threads)
+        self.k = d + 1
+        self.point_chunk, self.threads = point_chunk, threads
+        tiles = max(1, round(_ROW_CHUNK * threads / point_chunk))
+        while tiles * point_chunk % 4:
+            tiles += 1
+        self.stage = tiles * point_chunk
 
     @staticmethod
     def centre(x: np.ndarray, aug: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -202,60 +259,100 @@ class _CentredExpansion:
         t, c = self.centre(u)
         return t, np.einsum("ij,ij->i", c, c)
 
-    def sweep(self, t: np.ndarray, visit) -> None:
-        """Walk the point tiles of augmented targets ``t``, dropping finished rows.
+    def _fill(self, buf: np.ndarray, lo: int, a: int, b: int) -> None:
+        """Point rows a..b-1 as [-2 x', ||x'||^2], into ``buf`` from its row a - lo."""
+        rows = buf[a - lo:b - lo]
+        _, x = self.centre(self.read(a, b), rows)
+        rows[:, -1] = np.einsum("ij,ij->i", x, x)
+        x *= np.float32(-2.0)
 
-        ``visit(j, rows, tile)`` gets the point offset ``j``, the indices
-        ``rows`` into ``t`` of the targets still active, in order, and their
-        tile ||x'||^2 - 2 u'.x' against the chunk at ``j``; it returns a
-        boolean mask over ``rows`` of the targets that need no later tile.
-        The walk stops once no target is active.
+    def _stage(self, buf: np.ndarray, lo: int, hi: int) -> tuple[list, list]:
+        """The tasks that fill points lo..hi-1 into ``buf``, and the tiles they make.
 
-        Each tile is one product of the active rows of ``t``, padded with
-        finished rows of ``t`` and then inert rows [0...0, 1] to the row count
-        of :func:`_blocked_rows`; a lone last point is multiplied together
-        with the inert point row [0...0, +inf], whose column is not passed on.
+        After the points comes one inert row [0...0, +inf]: see :meth:`sweep`.
+        """
+        buf[hi - lo] = 0.0
+        buf[hi - lo, -1] = np.inf
+        fills = [functools.partial(self._fill, buf, lo, a, min(a + _ROW_CHUNK, hi))
+                 for a in range(lo, hi, _ROW_CHUNK)]
+        tiles = []
+        for j in range(lo, hi, self.point_chunk):
+            stop = min(j + self.point_chunk, self.n)
+            tiles.append((j, stop, buf[j - lo:j - lo + max(stop - j, 2)]))
+        return fills, tiles
+
+    def sweep(self, targets: np.ndarray, target_chunk: int, start) -> None:
+        """Walk the point tiles for every ``target_chunk``-row block of
+        ``targets``, dropping finished rows.
+
+        ``start(tnorm)`` is called once per block, in order, with the block's
+        ||u'||^2, and returns the block's ``visit(j, rows, tile)``.  That gets
+        the point offset ``j``, the indices ``rows`` into the block of the
+        targets still active, in order, and their tile ||x'||^2 - 2 u'.x'
+        against the chunk at ``j``; it returns a boolean mask over ``rows`` of
+        the targets that need no later tile.  A block stops once none of its
+        targets is active, and the sweep once no block is.
+
+        Stages go in order.  Every active block walks the tiles of one stage
+        while the next stage is filled into the other buffer, all as tasks of
+        one batch in the worker pool; a worker reuses one tile buffer for all
+        its tiles.  A block walks its tiles in order, so the schedule never
+        changes what a visit sees.
+
+        Each tile is one product of the active rows of the block, padded with
+        finished rows and then inert rows [0...0, 1] to the row count of
+        :func:`_blocked_rows`; a lone last point is multiplied together with
+        the inert point row [0...0, +inf], whose column is not passed on.
         BLAS sends one-row or one-column products to gemv and small products
         to OpenBLAS's small-matrix kernel; both round differently from the
         blocked GEMM, which gives a row the same bits whichever rows share its
         product.  So a target's tile is bit for bit the one it gets in a full
-        block with no row dropped out, whatever the shape of its own block or
-        of the last point chunk.
+        block with no row dropped out, whatever the shape of its own block, of
+        the last point chunk or of the stages.
         """
-        m, k = t.shape
-        spans = [(j, min(j + self.point_chunk, self.n)) for j in range(0, self.n, self.point_chunk)]
-        widths = [max(b - a, 2) for a, b in spans]  # a lone point takes the inert row along
-        # the most rows a tile takes: a block of n <= m live rows pads to no
-        # more than a block of m rows or a lone row does
-        most = {w: max(_blocked_rows(m, w, k), _blocked_rows(1, w, k)) for w in set(widths)}
-        # one buffer for all tiles: tiles of ever fewer rows, each allocated
-        # afresh, left about 8 MB more resident at d = 50, n = 1e5
-        buf = np.empty(max(r * w for w, r in most.items()), dtype=np.float32)
-        n_rows = max(most.values())
-        live = np.ones(m, dtype=bool)
-        n_live, stale, sub = m, True, None  # sub: live rows of t in order, then padding
-        for (j, stop), w in zip(spans, widths):
-            size = _blocked_rows(n_live, w, k)
-            if stale or sub.shape[0] != size:
-                # compacted rows go to a fresh array of one fixed shape; one
-                # kept for the whole sweep left table1's peak memory 8 MB
-                # higher at most seeds
-                order = np.argsort(~live, kind="stable")[:size]
-                packed = np.empty((n_rows, k), dtype=np.float32)
-                packed[m:] = 0.0
-                packed[m:, -1] = 1.0
-                np.take(t, order, axis=0, out=packed[:order.size])
-                sub, stale = packed[:size], False
-            rows = order[:n_live]
-            tile = buf[:size * w].reshape(size, w)
-            np.matmul(sub, self.pa[j:j + w].T, out=tile)
-            done = visit(j, rows, tile[:n_live, :stop - j])
-            if done.any():
-                live[rows[done]] = False
-                n_live -= int(np.count_nonzero(done))
-                stale = True
-                if n_live == 0:
+        n, pc = self.n, self.point_chunk
+        # a lone point takes the inert row along
+        widths = {max(min(j + pc, n) - j, 2) for j in range(0, n, pc)}
+        walks = []
+        for a in range(0, targets.shape[0], target_chunk):
+            t, tnorm = self.targets(targets[a:a + target_chunk])
+            walks.append(_Walk(t, start(tnorm), widths))
+        if not walks:
+            return
+        # one buffer per worker for all its tiles, sized for the first block,
+        # the largest: tiles allocated afresh left about 8 MB more resident
+        # at d = 50, n = 1e5
+        size = max(_blocked_rows(walks[0].t.shape[0], w, self.k) * w for w in widths)
+        tile_buffers: dict[int, np.ndarray] = {}
+
+        def tile_buffer() -> np.ndarray:
+            buf = tile_buffers.get(threading.get_ident())
+            if buf is None:
+                buf = tile_buffers[threading.get_ident()] = np.empty(size, dtype=np.float32)
+            return buf
+
+        stages = [(lo, min(lo + self.stage, n)) for lo in range(0, n, self.stage)]
+        buffers = [np.empty((min(self.stage, n) + 1, self.k), dtype=np.float32) for _ in stages[:2]]
+        for s in range(len(stages) + 1):
+            batch = []
+            if s:  # walk the tiles of the stage filled last
+                batch = [functools.partial(walk, tiles, tile_buffer) for walk in walks if walk.n_live]
+                if not batch:
                     return
+            if s < len(stages):
+                fills, tiles = self._stage(buffers[s % 2], *stages[s])
+                batch += fills
+            _run(batch, self.threads)
+
+
+def _as_targets(targets, d: int) -> np.ndarray:
+    """``targets`` as a finite float64 ``(m, d)`` array."""
+    T = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if T.shape[1] != d:
+        raise ValueError(f"dimension mismatch: {T.shape[1]} vs {d}")
+    if not np.isfinite(T).all():
+        raise ValueError("target coordinates must be finite")
+    return T
 
 
 def min_squared_distances(
@@ -272,16 +369,19 @@ def min_squared_distances(
 
     Parameters
     ----------
-    targets : array of shape (m, d)
+    targets : array of shape (m, d), finite.
     points : array of shape (n, d), or a row source of that shape, such as
-        :class:`cubecover.sampling.IidRows`.  The BLAS engine reads a row
-        source chunk by chunk into its float32 rows, so it holds
-        ``4 (d + 1) n`` bytes of points and no float64 copy; the KD-tree
-        engine builds the float64 array once.
-    threads : worker threads over point and target chunks; does not affect
-        the result.
+        :class:`cubecover.sampling.IidRows`.  The BLAS engine reads the
+        points one stage at a time: whole ``point_chunk`` tiles, about
+        8192 rows per thread, taken from a row source in 8192-row float64
+        pieces.  It holds two stages of float32 rows, ``4 (d + 1)`` bytes
+        a row, so its memory does not grow with ``n``.  The KD-tree engine
+        builds the float64 array once.
+    threads : worker threads over point stages and target chunks; does not
+        affect the result.
     target_chunk, point_chunk : tile shape; each worker holds one float32
-        ``target_chunk x point_chunk`` tile (8 MB at the defaults).
+        tile of ``target_chunk`` (plus padding) by ``point_chunk`` values
+        (8 MB at the defaults).
     engine : "auto", "kdtree" or "blas".  The BLAS engine expands
         ||u - x||^2 = ||u'||^2 - 2 u'.x' + ||x'||^2 about the cube's centre
         (u' = u - 1/2, x' = x - 1/2) in float32 tiles, which is the only
@@ -308,12 +408,10 @@ def min_squared_distances(
     -------
     float64 array of shape (m,), clipped at zero.
     """
-    T = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     read, (n, d), array = _as_points(points)
     if n == 0:
         raise ValueError("point set is empty")
-    if T.shape[1] != d:
-        raise ValueError(f"dimension mismatch: {T.shape[1]} vs {d}")
+    T = _as_targets(targets, d)
     if not settle >= 0.0:
         raise ValueError(f"settle must be >= 0, got {settle}")
 
@@ -340,11 +438,11 @@ def min_squared_distances(
     if engine != "blas":
         raise ValueError(f"unknown engine {engine!r}")
 
-    ex = _CentredExpansion(read, (n, d), point_chunk, threads)
+    parts = []
 
-    def block(a: int, b: int) -> np.ndarray:
-        t, tnorm = ex.targets(T[a:b])
-        best = np.full(b - a, np.inf, dtype=np.float32)
+    def start(tnorm: np.ndarray):
+        best = np.full(tnorm.size, np.inf, dtype=np.float32)
+        parts.append((best, tnorm))
 
         def visit(j: int, rows: np.ndarray, tile: np.ndarray) -> np.ndarray:
             low = np.minimum(best[rows], tile.min(axis=1))
@@ -352,12 +450,11 @@ def min_squared_distances(
             # the float32 sum the kernel returns, compared in float64
             return (low + tnorm[rows]).astype(np.float64) <= settle
 
-        ex.sweep(t, visit)
-        best += tnorm
-        return best
+        return visit
 
-    parts = _map_chunks(block, T.shape[0], target_chunk, threads)
-    return np.maximum(np.concatenate(parts).astype(np.float64), 0.0)
+    _CentredExpansion(read, (n, d), point_chunk, threads).sweep(T, target_chunk, start)
+    best = np.concatenate([best + tnorm for best, tnorm in parts])
+    return np.maximum(best.astype(np.float64), 0.0)
 
 
 def first_hit_index(
@@ -378,20 +475,22 @@ def first_hit_index(
     centred expansion of ``min_squared_distances``, so a pair within its
     rounding error of ``radius`` may be decided either way, though never
     differently for having block-mates already hit (see
-    ``_CentredExpansion.sweep``).  ``points`` is an
-    ``(n, d)`` array or a row source, read as in ``min_squared_distances``.
+    ``_CentredExpansion.sweep``).  ``targets`` must be finite, and
+    ``points`` is an ``(n, d)`` array or a row source, read one stage at a
+    time as in ``min_squared_distances``; once every target is hit, no
+    further stage is read.  Each worker holds one float32 tile of
+    ``target_chunk`` (plus padding) by ``point_chunk`` values (16 MB at the
+    defaults).
     """
-    T = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    read, shape, _ = _as_points(points)
-    if T.shape[1] != shape[1]:
-        raise ValueError(f"dimension mismatch: {T.shape[1]} vs {shape[1]}")
-    ex = _CentredExpansion(read, shape, point_chunk, threads)
+    read, (n, d), _ = _as_points(points)
+    T = _as_targets(targets, d)
     r2 = np.float32(float(radius) ** 2)
+    parts = []
 
-    def block(a: int, b: int) -> np.ndarray:
-        t, tnorm = ex.targets(T[a:b])
+    def start(tnorm: np.ndarray):
         slack = r2 - tnorm  # hit iff ||x'||^2 - 2 u'.x' <= r^2 - ||u'||^2
-        hit = np.full(b - a, ex.n + 1, dtype=np.int64)
+        hit = np.full(tnorm.size, n + 1, dtype=np.int64)
+        parts.append(hit)
 
         def visit(j: int, rows: np.ndarray, tile: np.ndarray) -> np.ndarray:
             hits = tile <= slack[rows, None]
@@ -399,8 +498,7 @@ def first_hit_index(
             hit[rows[got]] = j + 1 + np.argmax(hits[got], axis=1)
             return got
 
-        ex.sweep(t, visit)
-        return hit
+        return visit
 
-    parts = _map_chunks(block, T.shape[0], target_chunk, threads)
+    _CentredExpansion(read, (n, d), point_chunk, threads).sweep(T, target_chunk, start)
     return np.concatenate(parts)

@@ -143,7 +143,7 @@ class TestCriterion6BoundOrdering:
              20: ([0.9, 0.95, 1.0, 1.05, 1.1], 10000),
              50: ([1.9, 2.0, 2.1, 2.2, 2.3], 10000)}
 
-    @pytest.mark.parametrize("d", [10, 20, 50])
+    @pytest.mark.parametrize("d", [10, 20, pytest.param(50, marks=pytest.mark.slow)])
     def test_ordering_chain(self, d):
         radii, n = self.GRIDS[d]
         stream = SeededStream(1006, d)
@@ -233,6 +233,7 @@ class TestCriterion8Determinism:
 
 
 class TestCriterion9OracleEquivalence:
+    @pytest.mark.slow
     def test_three_estimators_agree_at_n1(self):
         from cubecover.coverage import coverage_design_averaged, coverage_product_form
 
@@ -268,6 +269,7 @@ class TestCriterion9OracleEquivalence:
         report("9 (n=1 estimator agreement)", all_ok,
                f"20 random queries, worst |diff|/(3 joint se)={worst:.2f} (needs <= 1)")
 
+    @pytest.mark.slow
     def test_closed_form_moments_match_mc(self):
         stream = SeededStream(1009, 2)
         base = stream.generator().random(10_000_000)

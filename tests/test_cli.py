@@ -202,6 +202,18 @@ class TestValidation:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, readers", [
+        (["design", "--dim", "3", "--n", "4"], "--scheme beta"),
+        (["coverage", "--dim", "3", "--n", "4", "--r", "0.3"], "--scheme beta or --prior beta"),
+    ], ids=["design", "coverage"])
+    def test_unread_alpha_names_only_flags_the_command_has(self, tmp_path, capsys, args, readers):
+        # design has no --prior, so its message must not offer one
+        code, out = run(tmp_path, "o.csv", *args, "--alpha", "0.5", "--seed", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (f"cubecover {args[0]}: error: --alpha is read only by "
+                                           f"{readers}, not by --scheme uniform\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scheme, nmax, message", [
         ("uniform", "5", "--hamming-nmax"),
         ("sobol", "5", "--hamming-nmax"),

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,27 @@ class TestMinDistance:
         assert min_squared_distances(u, pts, engine="kdtree")[0] == pytest.approx(exact, abs=1e-12)
         # float32 error bound eps32 * d * (||u'||^2 + max ||x'||^2) <= 2**-23 * 5 * 2.5
         assert min_squared_distances(u, pts, engine="blas")[0] == pytest.approx(exact, abs=2e-6)
+
+
+class TestNonFiniteTargets:
+    """A NaN or infinite target is refused up front by both engines and by
+    first_hit_index, instead of coming back as NaN or as "never hit"."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", ["blas", "kdtree"])
+    def test_min_squared_distances(self, engine, bad):
+        targets = np.full((3, 4), 0.5)
+        targets[1, 2] = bad
+        with pytest.raises(ValueError, match="target coordinates must be finite"):
+            min_squared_distances(targets, np.random.default_rng(1).random((50, 4)), engine=engine)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_first_hit_index(self, bad):
+        targets = np.full((3, 12), 0.5)
+        targets[2, 0] = bad
+        rows = IidRows(SamplingScheme.uniform(12), SeededStream(2), 0, 100)
+        with pytest.raises(ValueError, match="target coordinates must be finite"):
+            first_hit_index(targets, rows, 0.5)
 
 
 class TestNearestDistanceEngines:
@@ -245,6 +267,25 @@ class TestNearestDistanceEngines:
         """)
         _run_fresh(script)
 
+    def test_uniform_coverage_bounds_never_load_scipy_special(self, tmp_path):
+        # Phi comes from math.erfc, so the uniform law's Edgeworth and Jensen
+        # values need no scipy.special
+        out = tmp_path / "c.csv"
+        script = textwrap.dedent(f"""
+            import sys
+            from cubecover.cli import main
+            from cubecover.intersect import clt_probability, edgeworth_probability
+            argv = ["coverage", "--dim", "12", "--n", "3000", "--r-grid", "0.5:0.6:0.05",
+                    "--targets", "500", "--bounds", "--seed", "1", "--out", {str(out)!r}]
+            assert main(argv) == 0
+            assert 0.0 < clt_probability([0.3] * 12, 1.0, 1.0, 1.0) < 1.0
+            assert 0.0 < edgeworth_probability([0.3] * 12, 0.8, 1.0, 0.9, order=2) < 1.0
+            assert "scipy.special" not in sys.modules
+        """)
+        _run_fresh(script)
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 3 and all(0.0 < float(row[-2]) < 1.0 for row in rows)
+
     def test_kdtree_engine_calls_rebound_name(self, monkeypatch):
         calls = []
         real = geometry_module.cKDTree
@@ -338,6 +379,45 @@ class TestSettleBound:
                 assert a[0] == b[0]
 
 
+class TestStages:
+    """The BLAS engine reads the points one stage at a time; neither the stage
+    schedule nor the order of the points changes a value, and its memory does
+    not grow with the number of points."""
+
+    def test_settle_zero_values_are_invariant(self):
+        # with one thread a stage is 8192 rows: n spans three stages and a
+        # lone last point
+        n = 3 * geometry_module._ROW_CHUNK + 1
+        rng = np.random.default_rng(31)
+        targets, points = rng.random((256, 12)), rng.random((n, 12))
+        ref = min_squared_distances(targets, points, engine="blas")
+        for point_chunk in (512, 2048, n):
+            for threads in (1, 3):
+                got = min_squared_distances(targets, points, engine="blas",
+                                            point_chunk=point_chunk, threads=threads)
+                assert np.array_equal(got, ref)
+        shuffled = points[rng.permutation(n)]
+        assert np.array_equal(min_squared_distances(targets, shuffled, engine="blas"), ref)
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        d = 50
+        targets = np.random.default_rng(32).random((64, d))
+
+        def peak(n: int) -> int:
+            rows = IidRows(SamplingScheme.uniform(d), SeededStream(33), 0, n)
+            tracemalloc.start()
+            try:
+                min_squared_distances(targets, rows, engine="blas")
+                # a radius that no point reaches, so every stage is read
+                assert np.all(first_hit_index(targets, rows, 0.5) == n + 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a design held whole as float32 rows would add 4 (d + 1) 180000 bytes, 35 MB
+        assert peak(200_000) - peak(20_000) < 2**20
+
+
 class TestRowSource:
     """A row source gives the kernels the bytes of the materialized design."""
 
@@ -410,7 +490,7 @@ class TestBlockShapeBits:
 
     @staticmethod
     def _tiles(points, t, point_chunk=2048):
-        # every tile of the (never finished) rows of augmented targets t
+        # every tile of the (never finished) rows of targets t, as one block
         read, shape, _ = geometry_module._as_points(points)
         ex = geometry_module._CentredExpansion(read, shape, point_chunk, 1)
         got = []
@@ -419,7 +499,7 @@ class TestBlockShapeBits:
             got.append(tile.copy())
             return np.zeros(rows.size, dtype=bool)
 
-        ex.sweep(ex.targets(t)[0], visit)
+        ex.sweep(t, t.shape[0], lambda tnorm: visit)
         return got
 
     @pytest.mark.parametrize("d", [3, 12, 50])
@@ -474,7 +554,7 @@ class TestBlockShapeBits:
             got.append((live.copy(), tile.copy()))
             return ~np.isin(live, kept)
 
-        ex.sweep(ex.targets(targets)[0], visit)
+        ex.sweep(targets, targets.shape[0], lambda tnorm: visit)
         live, tile = got[1]
         assert np.array_equal(live, kept)
         assert np.array_equal(tile, full[1][kept])

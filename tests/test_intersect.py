@@ -289,6 +289,7 @@ class TestMcOracle:
 
 
 class TestHighDimensionConvergence:
+    @pytest.mark.slow
     def test_both_approximations_near_oracle_at_d50(self):
         # for growing d both routes approach the truth; at d=50 they sit
         # within 0.02 of a 10^7-draw oracle wherever it is not degenerate
