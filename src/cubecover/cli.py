@@ -107,8 +107,15 @@ def _bool(text: str) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
+_GRID_MAX_VALUES = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
-    """Grid syntax: 'a,b,c' or 'start:stop:step' (stop inclusive to 1e-9)."""
+    """Grid syntax: 'a,b,c' or 'start:stop:step' (stop inclusive to 1e-9).
+
+    A range is counted before it is built, and may hold at most
+    ``_GRID_MAX_VALUES`` values.
+    """
     ranged = ":" in text
     parts = text.split(":") if ranged else [p for p in text.split(",") if p]
     if ranged and len(parts) != 3:
@@ -121,7 +128,10 @@ def _parse_grid(text: str) -> list[float]:
     start, stop, step = values
     if step <= 0 or stop < start:
         raise CliError(f"grid {text!r} has a nonpositive step or stop < start")
-    k = int(math.floor((stop - start) / step + 1e-9))
+    span = (stop - start) / step + 1e-9  # inf for a step far below the range
+    if span >= _GRID_MAX_VALUES:
+        raise CliError(f"grid {text!r} has more than {_GRID_MAX_VALUES} values")
+    k = int(math.floor(span))
     return [start + i * step for i in range(k + 1)]
 
 
@@ -346,10 +356,9 @@ def cmd_ngamma(p: argparse.Namespace) -> tuple[list[str], list[list]]:
                                                deltas=p.delta_grid,
                                                initial_cap=full.n if full.status == "ok" else None,
                                                **budget)
-        asym = n_gamma_asymptotic(d, r, gamma)
-        n_asym = "inf" if asym.overflowed else str(round(asym.value))
         rows.append([r, full.csv_value(), best.csv_value(),
-                     "NA" if best.is_na else f"{best.delta:.10g}", n_asym])
+                     "NA" if best.is_na else f"{best.delta:.10g}",
+                     _fmt(n_gamma_asymptotic(d, r, gamma).value)])  # inf on overflow
     return columns, rows
 
 

@@ -41,6 +41,13 @@ _KDTREE_SETTLE_EPS = 1.0
 # so the chunk schedule depends only on the number of rows.
 _ROW_CHUNK = 8192
 
+# Points per tile of both BLAS entry points; a float32 tile of 1024 target
+# rows is 8 MB.  With 4096 in first_hit_index, its tiles set the peak memory
+# of `ngamma --dim 50 --r-grid 2.0,2.1,2.3 --targets 5000 --threads 2`:
+# 111.6 MB median ru_maxrss against 79.6 MB at 2048, with the same output
+# (2-core Xeon, OpenBLAS at one thread).
+_POINT_CHUNK = 2048
+
 
 def __getattr__(name: str):
     # Only the KD-tree engine needs scipy.spatial, which is slow to import, so
@@ -361,7 +368,7 @@ def min_squared_distances(
     *,
     threads: int = 1,
     target_chunk: int = 1024,
-    point_chunk: int = 2048,
+    point_chunk: int = _POINT_CHUNK,
     engine: str = "auto",
     settle: float = 0.0,
 ) -> np.ndarray:
@@ -406,7 +413,7 @@ def min_squared_distances(
 
     Returns
     -------
-    float64 array of shape (m,), clipped at zero.
+    float64 array of shape (m,), clipped at zero; empty for no targets.
     """
     read, (n, d), array = _as_points(points)
     if n == 0:
@@ -417,6 +424,10 @@ def min_squared_distances(
 
     if engine == "auto":
         engine = "kdtree" if d <= _KDTREE_MAX_DIM and n >= 32 else "blas"
+    if engine not in ("kdtree", "blas"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if T.shape[0] == 0:
+        return np.empty(0)
 
     if engine == "kdtree":
         tree = sys.modules[__name__].cKDTree(  # resolved now: see __getattr__
@@ -435,8 +446,6 @@ def min_squared_distances(
         if exact.any():
             d2[exact] = query(T[exact])
         return d2
-    if engine != "blas":
-        raise ValueError(f"unknown engine {engine!r}")
 
     parts = []
 
@@ -464,26 +473,28 @@ def first_hit_index(
     *,
     threads: int = 1,
     target_chunk: int = 1024,
-    point_chunk: int = 4096,
+    point_chunk: int = _POINT_CHUNK,
 ) -> np.ndarray:
     """1-based index of the first point within ``radius`` of each target.
 
-    Targets never hit get the sentinel ``n + 1``.  Treating ``points`` as the
-    prefix-ordered draw of a growing design, ``first_hit <= n`` is exactly
-    "covered by the first n points", which makes coverage monotone in n under
-    common random numbers.  Hit decisions are made in float32 with the
-    centred expansion of ``min_squared_distances``, so a pair within its
-    rounding error of ``radius`` may be decided either way, though never
-    differently for having block-mates already hit (see
-    ``_CentredExpansion.sweep``).  ``targets`` must be finite, and
-    ``points`` is an ``(n, d)`` array or a row source, read one stage at a
-    time as in ``min_squared_distances``; once every target is hit, no
-    further stage is read.  Each worker holds one float32 tile of
-    ``target_chunk`` (plus padding) by ``point_chunk`` values (16 MB at the
-    defaults).
+    Targets never hit get the sentinel ``n + 1``, and no targets give an
+    empty int64 array.  Treating ``points`` as the prefix-ordered draw of a
+    growing design, ``first_hit <= n`` is exactly "covered by the first n
+    points", which makes coverage monotone in n under common random numbers.
+    Hit decisions are made in float32 with the centred expansion of
+    ``min_squared_distances``, so a pair within its rounding error of
+    ``radius`` may be decided either way, though never differently for
+    having block-mates already hit (see ``_CentredExpansion.sweep``).
+    ``targets`` must be finite, and ``points`` is an ``(n, d)`` array or a
+    row source, read one stage at a time as in ``min_squared_distances``;
+    once every target is hit, no further stage is read.  Each worker holds
+    one float32 tile of ``target_chunk`` (plus padding) by ``point_chunk``
+    values (8 MB at the defaults, as in ``min_squared_distances``).
     """
     read, (n, d), _ = _as_points(points)
     T = _as_targets(targets, d)
+    if T.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
     r2 = np.float32(float(radius) ** 2)
     parts = []
 

@@ -160,41 +160,16 @@ def sum_moments(U, delta: float, alpha: float = 1.0, nu_max: int = 4) -> MomentS
     return MomentSet(float(sums[0]), float(sums[1]), cum)
 
 
-def _hermite(t: np.ndarray, m: int) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_m(t), He_{k+1} = t He_k - k He_{k-1}."""
-    h_prev = np.ones_like(t)
-    if m == 0:
-        return h_prev
-    h = t.copy()
-    for k in range(1, m):
-        h, h_prev = t * h - k * h_prev, h
-    return h
-
-
-def _partitions(nu: int) -> list[tuple[int, ...]]:
-    """All nonnegative integer (k_1,...,k_nu) with k_1 + 2 k_2 + ... + nu k_nu = nu."""
-    out: list[tuple[int, ...]] = []
-
-    def recurse(m: int, remaining: int, acc: list[int]):
-        if m == nu:
-            if remaining % nu == 0:
-                out.append(tuple(acc + [remaining // nu]))
-            return
-        for k in range(remaining // m + 1):
-            recurse(m + 1, remaining - m * k, acc + [k])
-
-    recurse(1, nu, [])
-    return out
-
-
 def _edgeworth_cdf(t: np.ndarray, sigma: np.ndarray, cum_sums: np.ndarray, order: int) -> np.ndarray:
-    """Phi(t) + sum_{nu=1}^{order} Q_nu(t), row-vectorized.
+    """Phi(t) + Q_1(t) + ... + Q_order(t), order 0 to 2, row-vectorized, with
 
-    Q_nu(t) = -phi(t) * sum over partitions (k_m) of nu of
-        He_{nu+2s-1}(t) * prod_m (1/k_m!) (lambda_{m+2}/(m+2)!)^{k_m},
-    lambda_nu = kappa_nu / sigma^nu,  s = sum_m k_m,
-    with kappa_nu the summed cumulant of order nu.  This is the expansion in
-    powers of d^(-1/2) with the powers of d cancelled.
+        Q_1(t) = -phi(t) He_2(t) lambda_3/3!
+        Q_2(t) = -phi(t) [He_3(t) lambda_4/4! + He_5(t) (lambda_3/3!)^2/2!],
+
+    He_k the probabilists' Hermite polynomials, lambda_nu = kappa_nu / sigma^nu
+    and kappa_nu the summed cumulant of order nu.  This is the expansion in
+    powers of d^(-1/2) with the powers of d cancelled (Petrov, Sums of
+    Independent Random Variables, 1975, ch. VI).
 
     ``cum_sums[i, k]`` is the summed cumulant of order k+1 for row i.
     """
@@ -202,18 +177,16 @@ def _edgeworth_cdf(t: np.ndarray, sigma: np.ndarray, cum_sums: np.ndarray, order
     if order == 0:
         return total
     phi = np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
-    lam = {nu: cum_sums[:, nu - 1] / sigma**nu for nu in range(3, order + 3)}
-    for nu in range(1, order + 1):
-        q = np.zeros_like(t)
-        for ks in _partitions(nu):
-            s = sum(ks)
-            coeff = np.ones_like(t)
-            for m, k_m in enumerate(ks, start=1):
-                if k_m:
-                    coeff = coeff * (lam[m + 2] / math.factorial(m + 2)) ** k_m / math.factorial(k_m)
-            q += _hermite(t, nu + 2 * s - 1) * coeff
-        total = total - phi * q
-    return total
+    # He_{k+1} = t He_k - k He_{k-1}, from He_0 = 1 and He_1 = t
+    he2 = t * t - 1
+    g3 = cum_sums[:, 2] / sigma**3 / 6  # lambda_3 / 3!
+    total = total - phi * (he2 * g3)
+    if order == 1:
+        return total
+    he3 = t * he2 - 2 * t
+    he5 = t * (t * he3 - 3 * he2) - 4 * he3
+    g4 = cum_sums[:, 3] / sigma**4 / 24  # lambda_4 / 4!
+    return total - phi * (he3 * g4 + he5 * (g3**2 / 2))
 
 
 def clt_probability(U, delta: float, alpha: float, r: float) -> float:

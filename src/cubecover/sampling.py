@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _point_array
 from .sobol import sobol_points
 from .streams import SeededStream
 
@@ -27,7 +26,6 @@ __all__ = [
     "SamplingScheme",
     "SchemeKind",
     "TargetPrior",
-    "draw_iid_rows",
     "hamming_threshold",
     "min_hamming_vertex_design",
     "sample_design",
@@ -202,18 +200,6 @@ class IidRows:
                                self.scheme.delta, self.scheme.alpha)
 
 
-def draw_iid_rows(scheme: SamplingScheme, stream: SeededStream, start: int, stop: int,
-                  threads: int = 1) -> np.ndarray:
-    """Rows ``start..stop-1`` of the i.i.d. design as one float64 array.
-
-    They are drawn through :meth:`IidRows.rows` in fixed ``_ROW_CHUNK``-row
-    chunks in the worker pool of ``_map_chunks``; ``threads`` changes the
-    wall time only.
-    """
-    rows = IidRows(scheme, stream, start, stop)
-    return _point_array(rows.rows, rows.shape, threads)
-
-
 def _vertex_masks(gen: np.random.Generator, dimension: int, count: int) -> list[int]:
     """``count`` distinct vertex bitmasks of the d-cube, sampled without replacement."""
     total = 1 << dimension if dimension < 63 else None
@@ -242,7 +228,7 @@ def sample_design(scheme: SamplingScheme, n: int, stream: SeededStream) -> Desig
     """Draw an n-point design according to ``scheme``.
 
     An i.i.d. design is ``draw_delta_cube(stream.generator(), n, ...)``,
-    drawn in chunks by :func:`draw_iid_rows`.  Sobol designs ignore the
+    the rows of :class:`IidRows`.  Sobol designs ignore the
     stream (they are deterministic); the vertex design places the cube
     centre first and then n-1 distinct random vertices of [1/4, 3/4]^d.
     """
@@ -250,7 +236,7 @@ def sample_design(scheme: SamplingScheme, n: int, stream: SeededStream) -> Desig
         raise ValueError(f"need n >= 1 points, got {n}")
     d = scheme.dimension
     if scheme.is_iid:
-        pts = draw_iid_rows(scheme, stream, 0, n)
+        pts = IidRows(scheme, stream, 0, n).rows(0, n)
     elif scheme.kind is SchemeKind.SOBOL_DELTA_CUBE:
         pts = 0.5 + scheme.delta * (sobol_points(d, n) - 0.5)
     elif scheme.kind is SchemeKind.VERTEX_DESIGN:

@@ -19,6 +19,7 @@ from cubecover.cli import (
     main,
 )
 from cubecover.coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
+from cubecover.geometry import unit_ball_volume
 from cubecover.solvers import (
     GammaLevel,
     _exact_radius,
@@ -262,6 +263,27 @@ class TestValidation:
         assert "grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0:1:1e-6", "0:1e300:1e-300", "0:1:0.0001"])
+    def test_grid_length_capped(self, tmp_path, capsys, grid):
+        code, out = run(tmp_path, "o.csv", "coverage", "--dim", "3", "--n", "10",
+                        "--r-grid", grid, "--seed", "1")
+        assert code == 2
+        assert f"--r-grid: grid '{grid}' has more than 10000 values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_of_the_cap_length_accepted(self):
+        assert len(_parse_grid("0:0.9999:0.0001")) == 10_000
+
+    def test_grid_length_capped_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("delta_grid = 0.5:1:1e-5\n")
+        code, out = run(tmp_path, "d.csv", "delta-sweep", "--config", str(cfg), "--dim", "3",
+                        "--n", "10", "--r", "0.5", "--seed", "1")
+        assert code == 2
+        assert "g.cfg:1: delta_grid: grid '0.5:1:1e-5' has more than 10000 values" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--r-grid", "0.3,nan"], ["--r-grid", "0.3:inf:0.1"],
                                        ["--r", "nan"], ["--r", "inf"],
                                        ["--r-grid=-0.5,0.3"], ["--r=-0.5"]])
@@ -427,7 +449,7 @@ class TestNgammaCommand:
         assert code == 0
         row = out.read_text().splitlines()[2].split(",")
         assert row[2] == "NA" and row[3] == "NA"
-        assert row[4] == "0"  # asymptotic count rounds to zero here
+        assert row[4] == "3.273321361e-05"
 
     def test_d20_asymptotic_column(self, tmp_path):
         code, out = run(tmp_path, "g2.csv", "ngamma", "--dim", "20", "--r-grid", "0.9",
@@ -435,7 +457,15 @@ class TestNgammaCommand:
                         "--delta-grid", "0.8,1.0", "--cap", "131072", "--seed", "8")
         assert code == 0
         row = out.read_text().splitlines()[2].split(",")
-        assert row[4] == "734"
+        assert row[4] == "733.8880327"
+
+    def test_asymptotic_count_below_one_is_printed(self, tmp_path):
+        # -ln(gamma) / (r^d V_d) at the paper's d = 50 cell is about 0.001
+        code, out = run(tmp_path, "g3.csv", "ngamma", "--dim", "50", "--r-grid", "2.1",
+                        "--targets", "500", "--seed", "1")
+        assert code == 0
+        n_asym = float(out.read_text().splitlines()[2].split(",")[4])
+        assert n_asym == pytest.approx(-np.log(0.1) / (2.1**50 * unit_ball_volume(50)), rel=1e-9)
 
 
 class TestIntersectCommand:

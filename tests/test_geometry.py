@@ -18,7 +18,7 @@ from cubecover.geometry import (
     min_squared_distances,
     unit_ball_volume,
 )
-from cubecover.sampling import IidRows, SamplingScheme, draw_iid_rows
+from cubecover.sampling import IidRows, SamplingScheme
 from cubecover.streams import SeededStream
 
 
@@ -119,6 +119,26 @@ class TestNonFiniteTargets:
         rows = IidRows(SamplingScheme.uniform(12), SeededStream(2), 0, 100)
         with pytest.raises(ValueError, match="target coordinates must be finite"):
             first_hit_index(targets, rows, 0.5)
+
+
+class TestEmptyTargets:
+    """No targets give an empty result on both engines and in first_hit_index;
+    a target array with the wrong column count still raises."""
+
+    POINTS = np.random.default_rng(6).random((100, 3))
+
+    @pytest.mark.parametrize("engine", ["blas", "kdtree"])
+    def test_min_squared_distances(self, engine):
+        got = min_squared_distances(np.empty((0, 3)), self.POINTS, engine=engine)
+        assert got.shape == (0,) and got.dtype == np.float64
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            min_squared_distances(np.empty((0, 4)), self.POINTS, engine=engine)
+
+    def test_first_hit_index(self):
+        got = first_hit_index(np.empty((0, 3)), self.POINTS, 0.5)
+        assert got.shape == (0,) and got.dtype == np.int64
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            first_hit_index(np.empty((0, 2)), self.POINTS, 0.5)
 
 
 class TestNearestDistanceEngines:
@@ -399,6 +419,25 @@ class TestStages:
         shuffled = points[rng.permutation(n)]
         assert np.array_equal(min_squared_distances(targets, shuffled, engine="blas"), ref)
 
+    def test_first_hits_are_invariant(self):
+        # three full stages on one thread, then a lone point; the last target
+        # lies 0.45 from that point, away from the centre, and no other point
+        # is within 0.5 of it
+        d, r = 12, 0.5
+        n = 3 * geometry_module._ROW_CHUNK + 1
+        rows = IidRows(SamplingScheme.uniform(d), SeededStream(34), 0, n)
+        x = rows.rows(n - 1, n)[0]
+        away = x + 0.45 * (x - 0.5) / np.linalg.norm(x - 0.5)
+        targets = np.vstack([np.random.default_rng(35).random((255, d)), away])
+        ref = first_hit_index(targets, rows, r)
+        assert ref[-1] == n
+        assert np.unique((ref[ref <= n] - 1) // geometry_module._ROW_CHUNK).size == 4
+        assert np.count_nonzero(ref == n + 1) > 0
+        for point_chunk in (512, 2048, 4096, n):
+            for threads in (1, 3):
+                got = first_hit_index(targets, rows, r, point_chunk=point_chunk, threads=threads)
+                assert np.array_equal(got, ref)
+
     def test_peak_memory_does_not_grow_with_n(self):
         d = 50
         targets = np.random.default_rng(32).random((64, d))
@@ -430,7 +469,8 @@ class TestRowSource:
         targets = np.random.default_rng(d).random((150, d))
         rows = IidRows(scheme, stream, 0, n)
         assert rows.shape == (n, d)
-        ref = min_squared_distances(targets, draw_iid_rows(scheme, stream, 0, n), engine=engine)
+        # the KD-tree fills the array from the source in chunks, on every thread
+        ref = min_squared_distances(targets, rows.rows(0, n), engine=engine)
         for threads in (1, 3):
             got = min_squared_distances(targets, rows, engine=engine, threads=threads)
             assert np.array_equal(got, ref)
@@ -440,8 +480,9 @@ class TestRowSource:
         d, start, stop, r = 20, 1024, 1024 + 9000, 1.0
         scheme, stream = SamplingScheme.uniform(d), SeededStream(22)
         targets = np.random.default_rng(3).random((1500, d))
-        ref = first_hit_index(targets, draw_iid_rows(scheme, stream, start, stop), r)
-        got = first_hit_index(targets, IidRows(scheme, stream, start, stop), r, threads=threads)
+        rows = IidRows(scheme, stream, start, stop)
+        ref = first_hit_index(targets, rows.rows(0, stop - start), r)
+        got = first_hit_index(targets, rows, r, threads=threads)
         assert 0 < np.count_nonzero(ref <= stop - start) < targets.shape[0]
         assert np.array_equal(got, ref)
 

@@ -10,8 +10,6 @@ from scipy.stats import norm
 
 from cubecover.geometry import unit_ball_volume
 from cubecover.intersect import (
-    _hermite,
-    _partitions,
     ball_probability,
     ball_probability_batch,
     clt_probability,
@@ -129,26 +127,36 @@ class TestSumMoments:
         assert ms.mean == pytest.approx(1.0 / 8.0, rel=1e-10)
 
 
-class TestPartitionsAndHermite:
-    def test_partition_counts_match_partition_function(self):
-        # p(nu) = 1, 2, 3, 5, 7 for nu = 1..5
-        assert [len(_partitions(nu)) for nu in range(1, 6)] == [1, 2, 3, 5, 7]
+class TestEdgeworthTerms:
+    """Orders 1 and 2 against the expansion written out with numpy's Hermite
+    polynomials:
 
-    def test_partition_solutions_are_valid(self):
-        for nu in range(1, 6):
-            for ks in _partitions(nu):
-                assert sum((m + 1) * k for m, k in enumerate(ks)) == nu
+        P_1 = Phi(t) - phi(t) He_2(t) lambda_3/3!
+        P_2 = P_1 - phi(t) [He_3(t) lambda_4/4! + He_5(t) lambda_3^2/(2! 3!^2)]
+    """
 
-    def test_order_one_and_two_partitions(self):
-        assert set(_partitions(1)) == {(1,)}
-        assert set(_partitions(2)) == {(2, 0), (0, 1)}
+    @staticmethod
+    def reference(u, delta, alpha, r, order):
+        k1, k2, k3, k4 = coordinate_cumulants(u, delta, alpha, 4).sum(axis=0)
+        sigma = math.sqrt(k2)
+        t = (r * r - k1) / sigma
+        lam3, lam4 = k3 / sigma**3, k4 / sigma**4
+        he = [HermiteE([0] * m + [1])(t) for m in range(6)]
+        q = [he[2] * lam3 / 6, he[3] * lam4 / 24 + he[5] * lam3**2 / 72]
+        return norm.cdf(t) - norm.pdf(t) * sum(q[:order])
 
-    @pytest.mark.parametrize("m", range(8))
-    def test_hermite_matches_numpy(self, m):
-        t = np.linspace(-3, 3, 41)
-        ref = HermiteE([0] * m + [1])(t)
-        assert np.allclose(_hermite(t, m), ref, rtol=1e-12, atol=1e-12)
-
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_reference(self, alpha, order):
+        u = np.random.default_rng(11).random(10)
+        ms = sum_moments(u, 0.7, alpha)
+        for s in (-1.6, -0.7, 0.4, 1.3):
+            r = math.sqrt(ms.mean + s * ms.std)
+            ref = self.reference(u, 0.7, alpha, r, order)
+            # the term of this order is well above the tolerance
+            assert abs(ref - self.reference(u, 0.7, alpha, r, order - 1)) > 1e-5
+            got = edgeworth_probability(u, 0.7, alpha, r, order=order, clamp=False)
+            assert got == pytest.approx(ref, rel=1e-12)
 
 class TestCltProbability:
     def test_half_at_mean(self):

@@ -7,12 +7,12 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
 from cubecover.sampling import (
+    IidRows,
     SamplingScheme,
     SchemeKind,
     TargetPrior,
     beta_quantile,
     draw_delta_cube,
-    draw_iid_rows,
     hamming_threshold,
     min_hamming_vertex_design,
     sample_design,
@@ -50,20 +50,20 @@ class TestChunkedDraw:
     @pytest.mark.parametrize("d", [1, 3, 50])
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.5])
     def test_equals_the_serial_draw(self, d, alpha):
-        n = 8192 + 77  # two row chunks, the second one short
+        n = 8192 + 77
         stream = SeededStream(7, d)
         scheme = SamplingScheme.beta(d, alpha, 0.8)
         serial = draw_delta_cube(stream.generator(), n, d, 0.8, alpha)
         assert np.array_equal(sample_design(scheme, n, stream).points, serial)
-        for threads in (1, 2, 3):
-            assert np.array_equal(draw_iid_rows(scheme, stream, 0, n, threads=threads), serial)
 
     def test_rows_from_an_offset(self):
         scheme, stream = SamplingScheme.uniform(5, 0.6), SeededStream(8)
         whole = draw_delta_cube(stream.generator(), 12_000, 5, 0.6)
-        assert np.array_equal(draw_iid_rows(scheme, stream, 1024, 12_000, threads=2), whole[1024:])
+        rows = IidRows(scheme, stream, 1024, 12_000)
+        assert np.array_equal(rows.rows(0, 10_976), whole[1024:])
+        assert np.array_equal(rows.rows(8192, 10_976), whole[9216:])
         with pytest.raises(ValueError, match="multiple of 4"):
-            draw_iid_rows(scheme, stream, 1025, 2000)
+            IidRows(scheme, stream, 1025, 2000).rows(0, 975)
 
 
 class TestBetaScheme:
