@@ -85,7 +85,7 @@ def _delta(text: str) -> float:
     return _unit_sides([float(text)], text)[0]
 
 
-def _threads(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise CliError(f"must be >= 1, got {text!r}")
@@ -145,9 +145,9 @@ _FIELDS = {
     "dim": int, "dims": _int_list, "n": int, "r": _number, "r_grid": _parse_grid,
     "delta": _delta, "delta_grid": _delta_grid, "alpha": _number, "gamma": _number,
     "scheme": str, "prior": str, "targets": int, "inner": int, "designs": int,
-    "cells": str, "cap": int, "bins": int, "u": _float_list, "bounds": _bool,
+    "cells": str, "cap": _positive_int, "bins": int, "u": _float_list, "bounds": _bool,
     "hamming_nmax": int, "sweep_targets": int,
-    "seed": int, "threads": _threads, "out": str, "config": str,
+    "seed": int, "threads": _positive_int, "out": str, "config": str,
 }
 _CHOICES = {"scheme": ("uniform", "beta", "sobol", "vertex"), "prior": ("uniform", "beta")}
 

@@ -29,6 +29,9 @@ from .sampling import (
     SamplingScheme,
     SchemeKind,
     TargetPrior,
+    _mc_block_rows,
+    beta_quantile,
+    delta_cube_blocks,
     draw_delta_cube,
     sample_design,
     sample_targets,
@@ -46,10 +49,6 @@ __all__ = [
     "product_form_approximation",
 ]
 
-
-# Largest float64 block of inner Monte Carlo draws that coverage_product_form
-# holds at once; its peak memory is set by this, not by ``inner``.
-_MC_BLOCK_BYTES = 16 << 20
 
 # Targets per inner Monte Carlo chunk; chunk c draws from ``stream.jumped(c)``,
 # so this fixes which draws each target gets.
@@ -202,13 +201,14 @@ def _inner_mc_probabilities(targets: np.ndarray, delta: float, alpha: float, r: 
 
     Chunk ``c`` of ``_MC_TARGET_CHUNK`` targets draws its ``inner`` points per
     target from ``stream.jumped(c)``, in sub-batches of targets whose float64
-    block fits ``_MC_BLOCK_BYTES``.  Consecutive draws from one generator
-    continue one sequence, so the sub-batch size does not change the result.
+    block fits ``cubecover.sampling._MC_BLOCK_BYTES``.  Consecutive draws from
+    one generator continue one sequence, so the sub-batch size does not
+    change the result.
     """
     m, d = targets.shape
     r2 = r * r
     p = np.empty(m)
-    step = max(1, _MC_BLOCK_BYTES // (8 * inner * d))
+    step = _mc_block_rows(inner * d)
     for c, a in enumerate(range(0, m, _MC_TARGET_CHUNK)):
         b = min(a + _MC_TARGET_CHUNK, m)
         gen = stream.jumped(c)
@@ -261,16 +261,28 @@ def _paired_distance_sample(query: CoverageQuery, inner: int, stream: SeededStre
     read, so a radius sweep draws this once and evaluates each radius with
     :func:`_product_form_estimate`, as :func:`product_form_approximation` does
     for one.
+
+    The targets are the draw of ``sample_targets`` from ``stream.child(0)``
+    and the points that of ``draw_delta_cube`` from ``stream.child(1)``.  The
+    two generators advance in step, one block of pairs at a time, whose two
+    float64 arrays together fit ``cubecover.sampling._MC_BLOCK_BYTES``; each
+    distance is a function of its own pair, so the block size does not
+    change the result.
     """
     if not query.scheme.is_iid:
         raise ValueError("the product-form approximation needs an i.i.d. scheme")
     if inner < 1:
         raise ValueError("need at least one paired draw")
-    targets = sample_targets(query.prior, inner, stream.child(0))
-    gen = stream.child(1).generator()
-    x = draw_delta_cube(gen, inner, query.dimension, query.scheme.delta, query.scheme.alpha)
-    x -= targets
-    return np.square(x, out=x).sum(axis=1)
+    d, scheme = query.dimension, query.scheme
+    rows = _mc_block_rows(2 * d)  # a block of targets and one of points
+    target_gen = stream.child(0).generator()
+    points = delta_cube_blocks(stream.child(1).generator(), inner, d, scheme.delta, scheme.alpha, rows)
+    out = np.empty(inner)
+    for a, x in zip(range(0, inner, rows), points):
+        x -= beta_quantile(query.prior.alpha, target_gen.random(x.shape))
+        out[a:a + x.shape[0]] = np.square(x, out=x).sum(axis=1)
+        del x  # freed before the next block is drawn
+    return out
 
 
 def _product_form_estimate(d2: np.ndarray, radius: float, n_points: int) -> CoverageEstimate:

@@ -2,7 +2,8 @@
 
 Everything here works on plain float64 numpy arrays; the bulk distance
 kernels also take a *row source*, an object with ``.shape`` (n, d) and
-``.rows(a, b)`` returning float64 rows a..b-1, which they read chunk by chunk.
+``.pieces(a, b)`` yielding float64 rows a..b-1 as consecutive blocks, which
+they read chunk by chunk.
 Distances are kept squared internally; square roots are taken only where an
 API returns a radius.
 """
@@ -110,20 +111,22 @@ def _map_chunks(fn, n_items: int, chunk: int, threads: int) -> list:
 
 
 def _as_points(points):
-    """``(read, (n, d), array)`` for ``points``; ``read(a, b)`` gives float64 rows a..b-1.
+    """``(pieces, (n, d), array)`` for ``points``; ``pieces(a, b)`` yields
+    float64 rows a..b-1 as consecutive blocks.
 
-    A row source is recognised by its ``.rows`` method, which becomes
-    ``read``, and ``array`` is None; this is the one place the module tells
+    A row source is recognised by its ``.pieces`` method, which becomes
+    ``pieces``, and ``array`` is None; this is the one place the module tells
     the two apart, and it needs no import of the types that provide one.
-    Anything else is taken as a float64 ``(n, d)`` ``array``, read by slicing.
+    Anything else is taken as a float64 ``(n, d)`` ``array``, read as one
+    slice.
     """
-    if hasattr(points, "rows"):
-        return points.rows, points.shape, None
+    if hasattr(points, "pieces"):
+        return points.pieces, points.shape, None
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return (lambda a, b: P[a:b]), P.shape, P
+    return (lambda a, b: (P[a:b],)), P.shape, P
 
 
-def _point_array(read, shape: tuple[int, int], threads: int = 1) -> np.ndarray:
+def _point_array(pieces, shape: tuple[int, int], threads: int = 1) -> np.ndarray:
     """All rows of an :func:`_as_points` reader as one float64 array.
 
     Rows are read in ``_ROW_CHUNK``-row chunks in the worker pool of
@@ -132,7 +135,9 @@ def _point_array(read, shape: tuple[int, int], threads: int = 1) -> np.ndarray:
     out = np.empty(shape)
 
     def fill(a: int, b: int) -> None:
-        out[a:b] = read(a, b)
+        for x in pieces(a, b):
+            out[a:a + x.shape[0]] = x
+            a += x.shape[0]
 
     _map_chunks(fill, shape[0], _ROW_CHUNK, threads)
     return out
@@ -225,10 +230,12 @@ class _CentredExpansion:
     :meth:`sweep` fills the point rows one *stage* at a time: whole
     ``point_chunk`` tiles, about ``_ROW_CHUNK`` rows per worker thread and a
     multiple of 4 rows, so every stage starts at a row a row source can
-    start from (see :class:`cubecover.sampling.IidRows`).  Rows come from
-    ``read`` (see :func:`_as_points`) in ``_ROW_CHUNK``-row pieces, so a row
-    source is never held whole in float64.  Peak memory is two stage
-    buffers and one tile per worker, whatever ``n``.
+    start from (see :class:`cubecover.sampling.IidRows`).  A worker fills
+    ``_ROW_CHUNK`` rows of a stage from the pieces that ``pieces`` (see
+    :func:`_as_points`) yields for them, each rounded into float32 before the
+    next is drawn, so a row source is never held whole in float64.  Peak
+    memory is two stage buffers, one tile and one float64 piece per worker,
+    whatever ``n``.
 
     Centring halves each coordinate's magnitude, and the rounding error of the
     expansion is of order eps32 * d * (||u'||^2 + ||x'||^2) (Higham, Accuracy
@@ -236,8 +243,8 @@ class _CentredExpansion:
     four-fold against the uncentred form on [0, 1]^d.
     """
 
-    def __init__(self, read, shape: tuple[int, int], point_chunk: int, threads: int):
-        self.read = read
+    def __init__(self, pieces, shape: tuple[int, int], point_chunk: int, threads: int):
+        self.pieces = pieces
         self.n, d = shape
         self.k = d + 1
         self.point_chunk, self.threads = point_chunk, threads
@@ -268,10 +275,13 @@ class _CentredExpansion:
 
     def _fill(self, buf: np.ndarray, lo: int, a: int, b: int) -> None:
         """Point rows a..b-1 as [-2 x', ||x'||^2], into ``buf`` from its row a - lo."""
-        rows = buf[a - lo:b - lo]
-        _, x = self.centre(self.read(a, b), rows)
-        rows[:, -1] = np.einsum("ij,ij->i", x, x)
-        x *= np.float32(-2.0)
+        for piece in self.pieces(a, b):
+            rows = buf[a - lo:a - lo + piece.shape[0]]
+            _, x = self.centre(piece, rows)
+            rows[:, -1] = np.einsum("ij,ij->i", x, x)
+            x *= np.float32(-2.0)
+            a += piece.shape[0]
+            del piece  # freed before the next piece is drawn
 
     def _stage(self, buf: np.ndarray, lo: int, hi: int) -> tuple[list, list]:
         """The tasks that fill points lo..hi-1 into ``buf``, and the tiles they make.
@@ -380,9 +390,9 @@ def min_squared_distances(
     points : array of shape (n, d), or a row source of that shape, such as
         :class:`cubecover.sampling.IidRows`.  The BLAS engine reads the
         points one stage at a time: whole ``point_chunk`` tiles, about
-        8192 rows per thread, taken from a row source in 8192-row float64
-        pieces.  It holds two stages of float32 rows, ``4 (d + 1)`` bytes
-        a row, so its memory does not grow with ``n``.  The KD-tree engine
+        8192 rows per thread, taken from a row source in float64 pieces of
+        about 512 KB.  It holds two stages of float32 rows, ``4 (d + 1)``
+        bytes a row, so its memory does not grow with ``n``.  The KD-tree engine
         builds the float64 array once.
     threads : worker threads over point stages and target chunks; does not
         affect the result.
@@ -415,7 +425,7 @@ def min_squared_distances(
     -------
     float64 array of shape (m,), clipped at zero; empty for no targets.
     """
-    read, (n, d), array = _as_points(points)
+    pieces, (n, d), array = _as_points(points)
     if n == 0:
         raise ValueError("point set is empty")
     T = _as_targets(targets, d)
@@ -431,7 +441,7 @@ def min_squared_distances(
 
     if engine == "kdtree":
         tree = sys.modules[__name__].cKDTree(  # resolved now: see __getattr__
-            _point_array(read, (n, d), threads) if array is None else array)
+            _point_array(pieces, (n, d), threads) if array is None else array)
 
         def query(x: np.ndarray, **approx) -> np.ndarray:
             dist, _ = tree.query(x, k=1, workers=max(threads, 1), **approx)
@@ -461,7 +471,7 @@ def min_squared_distances(
 
         return visit
 
-    _CentredExpansion(read, (n, d), point_chunk, threads).sweep(T, target_chunk, start)
+    _CentredExpansion(pieces, (n, d), point_chunk, threads).sweep(T, target_chunk, start)
     best = np.concatenate([best + tnorm for best, tnorm in parts])
     return np.maximum(best.astype(np.float64), 0.0)
 
@@ -491,7 +501,9 @@ def first_hit_index(
     one float32 tile of ``target_chunk`` (plus padding) by ``point_chunk``
     values (8 MB at the defaults, as in ``min_squared_distances``).
     """
-    read, (n, d), _ = _as_points(points)
+    pieces, (n, d), _ = _as_points(points)
+    if n == 0:
+        raise ValueError("point set is empty")
     T = _as_targets(targets, d)
     if T.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
@@ -511,5 +523,5 @@ def first_hit_index(
 
         return visit
 
-    _CentredExpansion(read, (n, d), point_chunk, threads).sweep(T, target_chunk, start)
+    _CentredExpansion(pieces, (n, d), point_chunk, threads).sweep(T, target_chunk, start)
     return np.concatenate(parts)

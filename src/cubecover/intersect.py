@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimates import CoverageEstimate
 from .geometry import as_point, log_unit_ball_volume
-from .sampling import TargetPrior, draw_delta_cube, sample_targets
+from .sampling import TargetPrior, _mc_block_rows, delta_cube_blocks, sample_targets
 from .streams import SeededStream
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
     "sum_moments",
 ]
 
+# Samples per counter-jumped substream of mc_intersection_oracle; chunk c
+# draws from ``stream.jumped(c)``, so this fixes which draws are made.
 _MC_CHUNK = 1_000_000
 _QUAD_NODES = 32  # exact for the polynomial integrands used here (degree <= 8)
 # Phi(t) = erfc(-t / sqrt 2) / 2 from the C library: scipy.special's ndtr
@@ -272,24 +274,25 @@ def mc_intersection_oracle(U, delta: float, alpha: float, r: float,
                            n_samples: int, stream: SeededStream) -> CoverageEstimate:
     """Unbiased Monte Carlo estimate of P{||U - X|| <= r}.
 
-    Draws are chunked with counter-jumped substreams, so the result depends
-    only on (stream, n_samples), not on chunking or thread count.
+    Chunk ``c`` of ``_MC_CHUNK`` samples draws from ``stream.jumped(c)``, so
+    the result depends only on (stream, n_samples), not on thread count.
+    Within a chunk the samples are drawn and scored in blocks that fit
+    ``cubecover.sampling._MC_BLOCK_BYTES``; consecutive draws from one
+    generator continue one sequence, so the block size does not change the
+    result either.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     u = as_point(U)
     r2 = float(r) * float(r)
+    rows = _mc_block_rows(u.size)
     hits = 0
-    done = 0
-    chunk_index = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        gen = stream.jumped(chunk_index)
-        x = draw_delta_cube(gen, m, u.size, delta, alpha)
-        x -= u
-        hits += int(np.count_nonzero(np.einsum("ij,ij->i", x, x) <= r2))
-        done += m
-        chunk_index += 1
+    for c, a in enumerate(range(0, n_samples, _MC_CHUNK)):
+        m = min(_MC_CHUNK, n_samples - a)
+        for x in delta_cube_blocks(stream.jumped(c), m, u.size, delta, alpha, rows):
+            x -= u
+            hits += int(np.count_nonzero(np.einsum("ij,ij->i", x, x) <= r2))
+            del x  # freed before the next block is drawn
     p = hits / n_samples
     return CoverageEstimate(
         value=p,

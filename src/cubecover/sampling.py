@@ -20,6 +20,17 @@ import numpy as np
 from .sobol import sobol_points
 from .streams import SeededStream
 
+# Largest float64 block of i.i.d. draws that a Monte Carlo loop holds at once:
+# the inner draws of the product form, the ball-probability oracle and the
+# paired (target, point) sample.  Their peak memory is set by this, not by the
+# number of draws.
+_MC_BLOCK_BYTES = 16 << 20
+
+# Float64 piece of a row source: the distance kernels round each piece into
+# float32 rows before the next is drawn, so a worker holds one piece of about
+# this size.  At d = 50 a piece is 1310 rows, 524 KB.
+_PIECE_BYTES = 512 << 10
+
 __all__ = [
     "Design",
     "IidRows",
@@ -31,6 +42,11 @@ __all__ = [
     "sample_design",
     "sample_targets",
 ]
+
+
+def _mc_block_rows(width: int) -> int:
+    """Rows of ``width`` float64 values that fit ``_MC_BLOCK_BYTES``; at least one."""
+    return max(1, _MC_BLOCK_BYTES // (8 * width))
 
 
 class SchemeKind(enum.Enum):
@@ -168,6 +184,18 @@ def draw_delta_cube(gen: np.random.Generator, n: int, dimension: int, delta: flo
     return x
 
 
+def delta_cube_blocks(gen: np.random.Generator, n: int, dimension: int, delta: float,
+                      alpha: float, rows: int):
+    """``draw_delta_cube(gen, n, ...)`` as consecutive blocks of at most ``rows`` rows.
+
+    Consecutive draws from one generator continue one sequence, and every
+    value is a function of its own double, so the blocks stacked are bit for
+    bit the single draw.
+    """
+    for a in range(0, n, rows):
+        yield draw_delta_cube(gen, min(rows, n - a), dimension, delta, alpha)
+
+
 @dataclass(frozen=True)
 class IidRows:
     """Rows ``start..stop-1`` of the i.i.d. design that ``stream`` defines, drawn on demand.
@@ -176,9 +204,10 @@ class IidRows:
     ``rows(a, b)`` is rows ``start+a .. start+b-1`` of
     ``draw_delta_cube(stream.generator(), stop, ...)``, drawn from its own
     counter offset.  The distance kernels accept this in place of a point
-    array and draw each row chunk only when they fill it, so the float64
-    design is never held whole.  ``(start + a) * d`` must be a multiple of 4
-    (see :meth:`SeededStream.generator_at`).
+    array: they take rows a..b-1 from :meth:`pieces` and round each piece
+    into float32 before the next is drawn, so the float64 design is never
+    held whole.  ``(start + a) * d`` must be a multiple of 4 (see
+    :meth:`SeededStream.generator_at`).
     """
 
     scheme: SamplingScheme
@@ -198,6 +227,14 @@ class IidRows:
         d = self.scheme.dimension
         return draw_delta_cube(self.stream.generator_at((self.start + a) * d), b - a, d,
                                self.scheme.delta, self.scheme.alpha)
+
+    def pieces(self, a: int, b: int):
+        """:meth:`rows` ``(a, b)`` as consecutive blocks of about ``_PIECE_BYTES``,
+        drawn one after another from one generator."""
+        d = self.scheme.dimension
+        return delta_cube_blocks(self.stream.generator_at((self.start + a) * d), b - a, d,
+                                 self.scheme.delta, self.scheme.alpha,
+                                 max(1, _PIECE_BYTES // (8 * d)))
 
 
 def _vertex_masks(gen: np.random.Generator, dimension: int, count: int) -> list[int]:

@@ -395,6 +395,10 @@ def empirical_n_gamma(
         raise ValueError(f"radius must be > 0, got {r}")
     if not scheme.is_iid:
         raise ValueError("empirical_n_gamma needs an i.i.d. scheme")
+    if n_cap < 1:
+        raise ValueError(f"n_cap must be >= 1, got {n_cap}")
+    if n_designs < 1:
+        raise ValueError(f"n_designs must be >= 1, got {n_designs}")
     g = _as_gamma(gamma)
     prior = TargetPrior.uniform(d)
 

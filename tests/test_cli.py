@@ -301,6 +301,21 @@ class TestValidation:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_ngamma_cap_below_one_rejected(self, tmp_path, capsys, cap):
+        code, out = run(tmp_path, "o.csv", "ngamma", "--dim", "20", "--r-grid", "1.0",
+                        "--cap", cap, "--targets", "200", "--seed", "1")
+        assert code == 2
+        assert "--cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ngamma_no_designs_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "o.csv", "ngamma", "--dim", "20", "--r-grid", "1.0",
+                        "--designs", "0", "--targets", "200", "--seed", "1")
+        assert code == 2
+        assert "n_designs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, flag", [
         (["sobol-compare", "--dims", "5,x"], "--dims"),
         (["sobol-compare", "--dims", "5,,10"], "--dims"),

@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import cubecover.coverage as coverage_module
+import cubecover.sampling as sampling_module
 from cubecover.coverage import (
-    _MC_BLOCK_BYTES,
     CoverageQuery,
     _inner_mc_probabilities,
     _paired_distance_sample,
@@ -152,16 +151,16 @@ class TestProductForm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * _MC_BLOCK_BYTES
+        assert peak < 2 * sampling_module._MC_BLOCK_BYTES
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
     def test_inner_mc_sub_batches_do_not_change_probabilities(self, monkeypatch, alpha):
         inner, d = 500, 6
         targets = np.random.default_rng(33).random((300, d))
         args = (targets, 0.8, alpha, 0.7, inner, SeededStream(34))
-        monkeypatch.setattr(coverage_module, "_MC_BLOCK_BYTES", 1 << 40)  # one draw per chunk
+        monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 1 << 40)  # one draw per chunk
         whole = _inner_mc_probabilities(*args)
-        monkeypatch.setattr(coverage_module, "_MC_BLOCK_BYTES", 7 * inner * d * 8)  # 7 targets
+        monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 7 * inner * d * 8)  # 7 targets
         assert np.array_equal(_inner_mc_probabilities(*args), whole)
 
 
@@ -236,6 +235,27 @@ class TestProductFormApproximation:
         for r in (0.0, 0.3, 0.5, 0.7, 0.9):
             per_radius = product_form_approximation(q.with_radius(r), 20_000, stream)
             assert _product_form_estimate(pairs, r, q.n_points) == per_radius
+
+    @pytest.mark.parametrize("alphas", [(1.0, 1.0), (0.5, 2.0)])
+    def test_blocks_do_not_change_the_sample(self, monkeypatch, alphas):
+        d, inner = 7, 5000
+        q = CoverageQuery(d, 0.5, 10, SamplingScheme.beta(d, alphas[0], 0.8), TargetPrior(d, alphas[1]))
+        monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 1 << 40)  # one block
+        whole = _paired_distance_sample(q, inner, SeededStream(28))
+        monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 2 * 8 * d * 333)  # 333 pairs
+        assert np.array_equal(_paired_distance_sample(q, inner, SeededStream(28)), whole)
+
+    def test_paired_sample_memory_set_by_budget(self):
+        # two 1e5 x 50 float64 arrays would take 80 MB
+        q = uniform_query(50, 2.0, 10)
+        tracemalloc.start()
+        try:
+            d2 = _paired_distance_sample(q, 100_000, SeededStream(26))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d2.shape == (100_000,)
+        assert peak < 2 * sampling_module._MC_BLOCK_BYTES
 
     def test_overshoots_f_by_convexity(self):
         q = uniform_query(10, 0.55, 1000)

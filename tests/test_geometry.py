@@ -141,6 +141,24 @@ class TestEmptyTargets:
             first_hit_index(np.empty((0, 2)), self.POINTS, 0.5)
 
 
+class TestEmptyPoints:
+    """An empty point set is refused by both kernels, as an array or a row source."""
+
+    KERNELS = {
+        "min_sq_blas": lambda t, p: min_squared_distances(t, p, engine="blas"),
+        "min_sq_kdtree": lambda t, p: min_squared_distances(t, p, engine="kdtree"),
+        "first_hit": lambda t, p: first_hit_index(t, p, 0.5),
+    }
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    @pytest.mark.parametrize("source", ["array", "rows"])
+    def test_raises(self, kernel, source):
+        points = np.empty((0, 3)) if source == "array" else \
+            IidRows(SamplingScheme.uniform(3), SeededStream(8), 16, 16)
+        with pytest.raises(ValueError, match="point set is empty"):
+            self.KERNELS[kernel](np.full((2, 3), 0.5), points)
+
+
 class TestNearestDistanceEngines:
     def test_engines_agree(self):
         rng = np.random.default_rng(7)
@@ -455,6 +473,35 @@ class TestStages:
 
         # a design held whole as float32 rows would add 4 (d + 1) 180000 bytes, 35 MB
         assert peak(200_000) - peak(20_000) < 2**20
+        # one thread holds two 8192-row stages, one tile of its 64 targets and
+        # one float64 piece of about 512 KB; an 8192-row float64 piece, 3.3 MB,
+        # does not fit the 2 MB left for it
+        stages = 2 * (geometry_module._ROW_CHUNK + 1) * 4 * (d + 1)
+        tile = 64 * geometry_module._POINT_CHUNK * 4
+        assert peak(200_000) < stages + tile + 2**21
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+    def test_pieces_fill_the_whole_array_rows(self, monkeypatch, alpha):
+        # 5000 rows are three whole pieces of 1310 rows at d = 50 and a short
+        # one, from a start offset like the growing designs' 1024-row blocks
+        d, start, n = 50, 1024, 5000
+        rows = IidRows(SamplingScheme.beta(d, alpha, 0.8), SeededStream(36), start, start + n)
+        assert [x.shape[0] for x in rows.pieces(0, n)] == [1310, 1310, 1310, 1070]
+
+        def filled(points) -> np.ndarray:
+            pieces, shape, _ = geometry_module._as_points(points)
+            ex = geometry_module._CentredExpansion(pieces, shape, 2048, 1)
+            buf = np.empty((n + 1, d + 1), dtype=np.float32)
+            ex._fill(buf, 0, 0, n)
+            return buf[:n]
+
+        ref = filled(rows.rows(0, n))
+        seeks = []
+        real = SeededStream.generator_at
+        monkeypatch.setattr(SeededStream, "generator_at",
+                            lambda stream, offset: seeks.append(offset) or real(stream, offset))
+        assert np.array_equal(filled(rows), ref)
+        assert seeks == [start * d]  # one generator for the whole fill
 
 
 class TestRowSource:

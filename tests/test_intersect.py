@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.stats import norm
 
+import cubecover.intersect as intersect_module
+import cubecover.sampling as sampling_module
 from cubecover.geometry import unit_ball_volume
 from cubecover.intersect import (
     ball_probability,
@@ -294,6 +297,29 @@ class TestMcOracle:
             intersect._MC_CHUNK = old
         # same stream, different chunking: jumped substreams keep draws aligned
         assert chunked.value == full.value
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_blocks_do_not_change_the_estimate(self, monkeypatch, alpha):
+        # 2500 samples in chunks of 1000, each drawn whole or in 7-row blocks
+        d = 5
+        u = np.linspace(0.2, 0.9, d)
+        args = (u, 0.8, alpha, 0.45, 2500, SeededStream(7))
+        monkeypatch.setattr(intersect_module, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 1 << 40)
+        whole = mc_intersection_oracle(*args)
+        monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 7 * d * 8)
+        assert mc_intersection_oracle(*args) == whole
+        assert 0.0 < whole.value < 1.0
+
+    def test_memory_set_by_budget(self):
+        # 2e5 samples at d = 50 drawn at once would take 80 MB
+        tracemalloc.start()
+        try:
+            mc_intersection_oracle(np.full(50, 0.5), 1.0, 1.0, 2.0, 200_000, SeededStream(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sampling_module._MC_BLOCK_BYTES
 
 
 class TestHighDimensionConvergence:

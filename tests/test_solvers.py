@@ -285,6 +285,14 @@ class TestEmpiricalNGamma:
         with pytest.raises(ValueError):
             empirical_n_gamma(3, 0.0, SamplingScheme.uniform(3), 0.1, SeededStream(17))
 
+    @pytest.mark.parametrize("budget, message", [
+        (dict(n_cap=0), "n_cap"), (dict(n_cap=-5), "n_cap"), (dict(n_designs=0), "n_designs"),
+    ])
+    def test_budget_validation(self, budget, message):
+        with pytest.raises(ValueError, match=f"{message} must be >= 1"):
+            empirical_n_gamma(3, 0.3, SamplingScheme.uniform(3), 0.1, SeededStream(17),
+                              n_targets=200, **budget)
+
 
 class TestRadiusHint:
     """A hint changes how far the kernel scans, never the radius."""
