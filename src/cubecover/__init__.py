@@ -41,7 +41,6 @@ from .sampling import (
 from .sobol import MAX_DIMENSION, sobol_points
 from .solvers import (
     DeltaSweepResult,
-    GammaLevel,
     LargeCount,
     NGammaResult,
     RadiusCell,

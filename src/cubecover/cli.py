@@ -96,8 +96,12 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")]
+def _cube_coordinates(text: str) -> list[float]:
+    """Coordinates of a point of [0,1]^d, each in [0, 1]."""
+    values = [float(tok) for tok in text.split(",")]
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise CliError(f"must lie in [0, 1], got {text!r}")
+    return values
 
 
 def _bool(text: str) -> bool:
@@ -145,7 +149,7 @@ _FIELDS = {
     "dim": int, "dims": _int_list, "n": int, "r": _number, "r_grid": _parse_grid,
     "delta": _delta, "delta_grid": _delta_grid, "alpha": _number, "gamma": _number,
     "scheme": str, "prior": str, "targets": int, "inner": int, "designs": int,
-    "cells": str, "cap": _positive_int, "bins": int, "u": _float_list, "bounds": _bool,
+    "cells": str, "cap": _positive_int, "bins": int, "u": _cube_coordinates, "bounds": _bool,
     "hamming_nmax": int, "sweep_targets": int,
     "seed": int, "threads": _positive_int, "out": str, "config": str,
 }

@@ -42,11 +42,14 @@ _KDTREE_SETTLE_EPS = 1.0
 # so the chunk schedule depends only on the number of rows.
 _ROW_CHUNK = 8192
 
-# Points per tile of both BLAS entry points; a float32 tile of 1024 target
-# rows is 8 MB.  With 4096 in first_hit_index, its tiles set the peak memory
-# of `ngamma --dim 50 --r-grid 2.0,2.1,2.3 --targets 5000 --threads 2`:
+# Tile shape of both BLAS entry points: blocks of _TARGET_CHUNK targets
+# against _POINT_CHUNK points, a float32 tile of 8 MB.  With 4096 points in
+# first_hit_index, its tiles set the peak memory of
+# `ngamma --dim 50 --r-grid 2.0,2.1,2.3 --targets 5000 --threads 2`:
 # 111.6 MB median ru_maxrss against 79.6 MB at 2048, with the same output
-# (2-core Xeon, OpenBLAS at one thread).
+# (2-core Xeon, OpenBLAS at one thread).  _POINT_CHUNK is a multiple of 4, so
+# every stage of whole tiles starts at a row a row source can start from.
+_TARGET_CHUNK = 1024
 _POINT_CHUNK = 2048
 
 
@@ -223,14 +226,14 @@ class _CentredExpansion:
     With u' = u - 1/2 and x' = x - 1/2 the squared distance expands as
     ||u'||^2 + (||x'||^2 - 2 u'.x').  The points become augmented rows
     [-2 x', ||x'||^2] and a block of targets [u', 1], so each tile, the
-    bracket for the block against ``point_chunk`` points, is a single float32
+    bracket for the block against ``_POINT_CHUNK`` points, is a single float32
     GEMM with no further pass over it.  Callers add ||u'||^2 after reducing
     over the points.
 
     :meth:`sweep` fills the point rows one *stage* at a time: whole
-    ``point_chunk`` tiles, about ``_ROW_CHUNK`` rows per worker thread and a
-    multiple of 4 rows, so every stage starts at a row a row source can
-    start from (see :class:`cubecover.sampling.IidRows`).  A worker fills
+    ``_POINT_CHUNK`` tiles, about ``_ROW_CHUNK`` rows per worker thread, so
+    every stage starts at a row a row source can start from (see
+    :class:`cubecover.sampling.IidRows`).  A worker fills
     ``_ROW_CHUNK`` rows of a stage from the pieces that ``pieces`` (see
     :func:`_as_points`) yields for them, each rounded into float32 before the
     next is drawn, so a row source is never held whole in float64.  Peak
@@ -243,15 +246,12 @@ class _CentredExpansion:
     four-fold against the uncentred form on [0, 1]^d.
     """
 
-    def __init__(self, pieces, shape: tuple[int, int], point_chunk: int, threads: int):
+    def __init__(self, pieces, shape: tuple[int, int], threads: int):
         self.pieces = pieces
         self.n, d = shape
         self.k = d + 1
-        self.point_chunk, self.threads = point_chunk, threads
-        tiles = max(1, round(_ROW_CHUNK * threads / point_chunk))
-        while tiles * point_chunk % 4:
-            tiles += 1
-        self.stage = tiles * point_chunk
+        self.threads = threads
+        self.stage = max(1, round(_ROW_CHUNK * threads / _POINT_CHUNK)) * _POINT_CHUNK
 
     @staticmethod
     def centre(x: np.ndarray, aug: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -293,13 +293,13 @@ class _CentredExpansion:
         fills = [functools.partial(self._fill, buf, lo, a, min(a + _ROW_CHUNK, hi))
                  for a in range(lo, hi, _ROW_CHUNK)]
         tiles = []
-        for j in range(lo, hi, self.point_chunk):
-            stop = min(j + self.point_chunk, self.n)
+        for j in range(lo, hi, _POINT_CHUNK):
+            stop = min(j + _POINT_CHUNK, self.n)
             tiles.append((j, stop, buf[j - lo:j - lo + max(stop - j, 2)]))
         return fills, tiles
 
-    def sweep(self, targets: np.ndarray, target_chunk: int, start) -> None:
-        """Walk the point tiles for every ``target_chunk``-row block of
+    def sweep(self, targets: np.ndarray, start) -> None:
+        """Walk the point tiles for every ``_TARGET_CHUNK``-row block of
         ``targets``, dropping finished rows.
 
         ``start(tnorm)`` is called once per block, in order, with the block's
@@ -327,12 +327,12 @@ class _CentredExpansion:
         block with no row dropped out, whatever the shape of its own block, of
         the last point chunk or of the stages.
         """
-        n, pc = self.n, self.point_chunk
+        n, pc = self.n, _POINT_CHUNK
         # a lone point takes the inert row along
         widths = {max(min(j + pc, n) - j, 2) for j in range(0, n, pc)}
         walks = []
-        for a in range(0, targets.shape[0], target_chunk):
-            t, tnorm = self.targets(targets[a:a + target_chunk])
+        for a in range(0, targets.shape[0], _TARGET_CHUNK):
+            t, tnorm = self.targets(targets[a:a + _TARGET_CHUNK])
             walks.append(_Walk(t, start(tnorm), widths))
         if not walks:
             return
@@ -377,8 +377,6 @@ def min_squared_distances(
     points,
     *,
     threads: int = 1,
-    target_chunk: int = 1024,
-    point_chunk: int = _POINT_CHUNK,
     engine: str = "auto",
     settle: float = 0.0,
 ) -> np.ndarray:
@@ -389,16 +387,15 @@ def min_squared_distances(
     targets : array of shape (m, d), finite.
     points : array of shape (n, d), or a row source of that shape, such as
         :class:`cubecover.sampling.IidRows`.  The BLAS engine reads the
-        points one stage at a time: whole ``point_chunk`` tiles, about
-        8192 rows per thread, taken from a row source in float64 pieces of
-        about 512 KB.  It holds two stages of float32 rows, ``4 (d + 1)``
-        bytes a row, so its memory does not grow with ``n``.  The KD-tree engine
-        builds the float64 array once.
+        points one stage at a time: whole tiles of ``_POINT_CHUNK`` (2048)
+        points, about 8192 rows per thread, taken from a row source in
+        float64 pieces of about 512 KB.  It holds two stages of float32 rows,
+        ``4 (d + 1)`` bytes a row, so its memory does not grow with ``n``, and
+        each worker holds one float32 tile of ``_TARGET_CHUNK`` (1024)
+        targets, plus padding, by ``_POINT_CHUNK`` points, 8 MB.  The KD-tree
+        engine builds the float64 array once.
     threads : worker threads over point stages and target chunks; does not
         affect the result.
-    target_chunk, point_chunk : tile shape; each worker holds one float32
-        tile of ``target_chunk`` (plus padding) by ``point_chunk`` values
-        (8 MB at the defaults).
     engine : "auto", "kdtree" or "blas".  The BLAS engine expands
         ||u - x||^2 = ||u'||^2 - 2 u'.x' + ||x'||^2 about the cube's centre
         (u' = u - 1/2, x' = x - 1/2) in float32 tiles, which is the only
@@ -471,7 +468,7 @@ def min_squared_distances(
 
         return visit
 
-    _CentredExpansion(pieces, (n, d), point_chunk, threads).sweep(T, target_chunk, start)
+    _CentredExpansion(pieces, (n, d), threads).sweep(T, start)
     best = np.concatenate([best + tnorm for best, tnorm in parts])
     return np.maximum(best.astype(np.float64), 0.0)
 
@@ -482,8 +479,6 @@ def first_hit_index(
     radius: float,
     *,
     threads: int = 1,
-    target_chunk: int = 1024,
-    point_chunk: int = _POINT_CHUNK,
 ) -> np.ndarray:
     """1-based index of the first point within ``radius`` of each target.
 
@@ -498,8 +493,8 @@ def first_hit_index(
     ``targets`` must be finite, and ``points`` is an ``(n, d)`` array or a
     row source, read one stage at a time as in ``min_squared_distances``;
     once every target is hit, no further stage is read.  Each worker holds
-    one float32 tile of ``target_chunk`` (plus padding) by ``point_chunk``
-    values (8 MB at the defaults, as in ``min_squared_distances``).
+    one float32 tile of ``_TARGET_CHUNK`` targets (plus padding) by
+    ``_POINT_CHUNK`` points, 8 MB, as in ``min_squared_distances``.
     """
     pieces, (n, d), _ = _as_points(points)
     if n == 0:
@@ -523,5 +518,5 @@ def first_hit_index(
 
         return visit
 
-    _CentredExpansion(pieces, (n, d), point_chunk, threads).sweep(T, target_chunk, start)
+    _CentredExpansion(pieces, (n, d), threads).sweep(T, start)
     return np.concatenate(parts)

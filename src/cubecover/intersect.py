@@ -197,22 +197,22 @@ def clt_probability(U, delta: float, alpha: float, r: float) -> float:
 
 
 def edgeworth_probability(U, delta: float, alpha: float, r: float, *,
-                          order: int = 1, clamp: bool = True) -> float:
+                          order: int = 1) -> float:
     """Edgeworth-corrected P{||U - X|| <= r}; order 0 reproduces the CLT value.
 
-    ``order`` and ``clamp`` are those of :func:`ball_probability_batch`.
-    Expansions are not proper cdfs, so raw values may leave [0,1]; with
-    ``clamp`` (the default) the output is clipped into [0,1].
+    ``order`` is that of :func:`ball_probability_batch`, and so is the clip
+    into [0,1].
     """
-    return float(ball_probability_batch(as_point(U)[None, :], delta, alpha, r,
-                                        order=order, clamp=clamp)[0])
+    return float(ball_probability_batch(as_point(U)[None, :], delta, alpha, r, order=order)[0])
 
 
 def ball_probability_batch(U_rows, delta: float, alpha: float, r: float,
-                           order: int = 1, clamp: bool = True) -> np.ndarray:
+                           order: int = 1) -> np.ndarray:
     """CLT/Edgeworth probability for many centers at once, shape (m,).
 
     ``order`` counts the Edgeworth correction terms, 0 (plain CLT) to 2.
+    Expansions are not proper cdfs, so their raw values may leave [0,1]; the
+    output is always clipped into [0,1].
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
@@ -227,7 +227,7 @@ def ball_probability_batch(U_rows, delta: float, alpha: float, r: float,
     t = (r * r - mean) / safe_sigma
     vals = _edgeworth_cdf(t, safe_sigma, cum, order)
     vals = np.where(ok, vals, (mean <= r * r).astype(np.float64))
-    return np.clip(vals, 0.0, 1.0) if clamp else vals
+    return np.clip(vals, 0.0, 1.0)
 
 
 def ball_probability(U, delta: float, alpha: float, r: float, *,

@@ -301,23 +301,24 @@ def hamming_threshold(dimension: int, n_max: int) -> int:
     return math.floor(dimension - math.log2(n_max - 1)) + 1
 
 
-def min_hamming_vertex_design(
-    dimension: int,
-    n_max: int,
-    stream: SeededStream,
-    retry_budget: int | None = None,
-) -> Design:
+def _hamming_max_draws(n_max: int) -> int:
+    """Vertex draws :func:`min_hamming_vertex_design` makes at most."""
+    return 50 * n_max + 1000
+
+
+def min_hamming_vertex_design(dimension: int, n_max: int, stream: SeededStream) -> Design:
     """Centre point plus vertices of [1/4, 3/4]^d kept at pairwise Hamming
     distance >= ``hamming_threshold(dimension, n_max)``.
 
-    Vertices are rejection-sampled without replacement; when the retry budget
-    runs out before n_max - 1 vertices are found, the design is returned as-is
+    Vertices are rejection-sampled without replacement, at most
+    ``50 n_max + 1000`` draws (``_hamming_max_draws``); when those run
+    out before n_max - 1 vertices are found, the design is returned as-is
     with ``shortfall=True``.
     """
     if not 2 <= n_max <= 2**dimension:
         raise ValueError(f"n_max must lie in [2, 2^{dimension}], got {n_max}")
     threshold = hamming_threshold(dimension, n_max)
-    budget = retry_budget if retry_budget is not None else 50 * n_max + 1000
+    budget = _hamming_max_draws(n_max)
 
     gen = stream.generator()
     accepted: list[int] = []

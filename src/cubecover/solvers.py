@@ -26,7 +26,6 @@ from .streams import SeededStream
 
 __all__ = [
     "DeltaSweepResult",
-    "GammaLevel",
     "LargeCount",
     "NGammaResult",
     "RadiusCell",
@@ -47,27 +46,12 @@ __all__ = [
 _LOG10_MAX = math.log10(np.finfo(np.float64).max)
 
 
-@dataclass(frozen=True)
-class GammaLevel:
-    """Miss level gamma in (0,1); coverage targets are 1 - gamma."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-
-    @property
-    def one_minus(self) -> float:
-        return 1.0 - self.gamma
-
-    def normalized_quantile(self, d: int) -> float:
-        """t_{1-gamma} = (-ln gamma)^(1/d), quantile of 1 - exp(-t^d)."""
-        return (-math.log(self.gamma)) ** (1.0 / d)
-
-
-def _as_gamma(gamma) -> GammaLevel:
-    return gamma if isinstance(gamma, GammaLevel) else GammaLevel(float(gamma))
+def _checked_gamma(gamma) -> float:
+    """The miss level gamma as a float in (0, 1); coverage targets are 1 - gamma."""
+    g = float(gamma)
+    if not 0.0 < g < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {g}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -93,7 +77,7 @@ def n_gamma_classical(p: float, gamma) -> int:
     with probability at least 1 - gamma."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"hit probability must lie strictly in (0, 1), got {p}")
-    g = _as_gamma(gamma).gamma
+    g = _checked_gamma(gamma)
     return max(1, math.ceil(math.log(g) / math.log1p(-p)))
 
 
@@ -105,7 +89,7 @@ def n_gamma_asymptotic(d: int, epsilon: float, gamma) -> LargeCount:
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    g = _as_gamma(gamma).gamma
+    g = _checked_gamma(gamma)
     log10_n = (math.log(-math.log(g)) - d * math.log(epsilon) - log_unit_ball_volume(d)) / math.log(10.0)
     return LargeCount(log10_n)
 
@@ -119,7 +103,7 @@ def worst_case_n_mixture(d: int, epsilon: float, gamma) -> float:
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    g = _as_gamma(gamma).gamma
+    g = _checked_gamma(gamma)
     log_pb = d * math.log(epsilon) + log_unit_ball_volume(d)
     return (-math.log(g)) * math.exp(-log_pb) / math.log(10.0)
 
@@ -129,8 +113,8 @@ def asymptotic_radius(d: int, n: int, gamma) -> float:
     asymptotically cover a 1-gamma volume fraction."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    g = _as_gamma(gamma)
-    log_r = (math.log(-math.log(g.gamma)) - math.log(n) - log_unit_ball_volume(d)) / d
+    g = _checked_gamma(gamma)
+    log_r = (math.log(-math.log(g)) - math.log(n) - log_unit_ball_volume(d)) / d
     return math.exp(log_r)
 
 
@@ -166,13 +150,13 @@ def empirical_radius_quantile(
     and if ``hint**2`` turns out not to lie below the order statistic it is
     drawn again in full (see :func:`_ranked_sample`).
     """
-    g = _as_gamma(gamma)
+    g = _checked_gamma(gamma)
     query = CoverageQuery(d, 0.0, n, scheme, prior)
     return _exact_radius(_ranked_sample(query, n_designs, n_targets, stream, g, hint, threads), g)
 
 
 def _ranked_sample(query: CoverageQuery, n_designs: int, n_targets: int, stream: SeededStream,
-                   g: GammaLevel, hint: float, threads: int) -> np.ndarray:
+                   g: float, hint: float, threads: int) -> np.ndarray:
     """A nearest-distance sample whose ceil((1-gamma) N)-th value is the full scan's.
 
     The sample is drawn with ``settle_radius=hint``.  Targets within ``hint``
@@ -189,27 +173,27 @@ def _ranked_sample(query: CoverageQuery, n_designs: int, n_targets: int, stream:
     return d2
 
 
-def _coverage_rank(g: GammaLevel, size: int) -> int:
-    return math.ceil(g.one_minus * size)
+def _coverage_rank(g: float, size: int) -> int:
+    return math.ceil((1.0 - g) * size)
 
 
-def _coverage_order_statistic(values: np.ndarray, g: GammaLevel):
+def _coverage_order_statistic(values: np.ndarray, g: float):
     """Smallest v with a fraction >= 1 - gamma of ``values`` at most v."""
     k = _coverage_rank(g, values.size)
     return np.partition(values, k - 1, axis=None)[k - 1]
 
 
-def _radius_hint(d2: np.ndarray, g: GammaLevel) -> float:
+def _radius_hint(d2: np.ndarray, g: float) -> float:
     """sqrt of the ceil((1 - 2 gamma) N)-th value of ``d2``, or 0 if gamma >= 1/2.
 
     Read off one sample, it hints a radius solve of the same or a nearby
     cell: a 1 - 2 gamma quantile lies safely below the 1 - gamma one.
     """
-    k = math.ceil((1.0 - 2.0 * g.gamma) * d2.size)
+    k = math.ceil((1.0 - 2.0 * g) * d2.size)
     return math.sqrt(float(np.partition(d2, k - 1, axis=None)[k - 1])) if k >= 1 else 0.0
 
 
-def _exact_radius(d2: np.ndarray, g: GammaLevel) -> float:
+def _exact_radius(d2: np.ndarray, g: float) -> float:
     """Smallest float r at which ``d2 <= r * r`` reaches coverage 1 - gamma.
 
     sqrt(q)**2 rounds below q for about a quarter of float32-valued q, which
@@ -292,11 +276,11 @@ def radius_best_delta(d: int, n: int, gamma, deltas, stream: SeededStream, *,
     the order statistic makes the sample be drawn again in full, so every
     radius is the unhinted one.
     """
-    delta, r, _, _ = _radius_walk(d, n, _as_gamma(gamma), deltas, stream, n_targets, threads)
+    delta, r, _, _ = _radius_walk(d, n, _checked_gamma(gamma), deltas, stream, n_targets, threads)
     return delta, r
 
 
-def _radius_walk(d: int, n: int, g: GammaLevel, deltas, stream: SeededStream, n_targets: int,
+def _radius_walk(d: int, n: int, g: float, deltas, stream: SeededStream, n_targets: int,
                  threads: int) -> tuple[float, float, np.ndarray, np.ndarray]:
     """:func:`radius_best_delta`, with the samples at the largest delta and at delta*."""
     best_delta, best_r, best, first = None, math.inf, None, None
@@ -334,7 +318,7 @@ def radius_table_cell(d: int, n: int, gamma, deltas, stream: SeededStream, *,
     first, so its samples at delta = 1 (when the grid has it) and at delta*
     hint the two radius solves; the hints change the run time only.
     """
-    g = _as_gamma(gamma)
+    g = _checked_gamma(gamma)
     grid = _checked_delta_grid(deltas)
     best_delta, _, first, best = _radius_walk(d, n, g, grid, stream.child(1), sweep_targets,
                                               threads)
@@ -399,7 +383,7 @@ def empirical_n_gamma(
         raise ValueError(f"n_cap must be >= 1, got {n_cap}")
     if n_designs < 1:
         raise ValueError(f"n_designs must be >= 1, got {n_designs}")
-    g = _as_gamma(gamma)
+    g = _checked_gamma(gamma)
     prior = TargetPrior.uniform(d)
 
     hit_chunks: list[np.ndarray] = []
@@ -414,7 +398,7 @@ def empirical_n_gamma(
     return NGammaResult(n_star, scheme.delta, "ok")
 
 
-def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g: GammaLevel,
+def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g: float,
                        stream: SeededStream, n_cap: int, threads: int) -> np.ndarray:
     """First-hit design indices against one growing prefix design.
 
@@ -431,7 +415,7 @@ def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g:
     over prefixes, so the block schedule does not change the result.
     """
     n_targets = targets.shape[0]
-    allowed_misses = math.floor(g.gamma * n_targets)
+    allowed_misses = math.floor(g * n_targets)
     hits = np.full(n_targets, n_cap + 1, dtype=np.int64)
 
     half = 0.5 * scheme.delta

@@ -21,7 +21,6 @@ from cubecover.cli import (
 from cubecover.coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
 from cubecover.geometry import unit_ball_volume
 from cubecover.solvers import (
-    GammaLevel,
     _exact_radius,
     asymptotic_coverage,
     default_delta_grid,
@@ -320,12 +319,31 @@ class TestValidation:
         (["sobol-compare", "--dims", "5,x"], "--dims"),
         (["sobol-compare", "--dims", "5,,10"], "--dims"),
         (["intersect", "--dim", "3", "--u", "0.5,x", "--r", "0.3"], "--u"),
+        (["intersect", "--dim", "3", "--u", "2", "--r", "0.5"], "--u: must lie in [0, 1]"),
+        (["intersect", "--dim", "3", "--u=-0.1", "--r", "0.5"], "--u: must lie in [0, 1]"),
+        (["intersect", "--dim", "3", "--u", "0.2,1.5,0.9", "--r", "0.5"], "--u: must lie in [0, 1]"),
     ])
     def test_bad_list_field_named(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_u_outside_the_cube_rejected_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text("u = 0.2,1.5,0.9\n")
+        code, out = run(tmp_path, "o.csv", "intersect", "--dim", "3", "--r", "0.5",
+                        "--inner", "1000", "--seed", "1", "--config", str(cfg))
+        assert code == 2
+        assert "u: must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("u", ["0", "1"])
+    def test_u_on_the_cube_boundary_accepted(self, tmp_path, u):
+        code, out = run(tmp_path, "o.csv", "intersect", "--dim", "3", "--u", u, "--r", "0.5",
+                        "--inner", "1000", "--seed", "1")
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 3
 
     def test_list_fields_from_config(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -529,7 +547,7 @@ class TestTable1Command:
         code, out = run(tmp_path, "t.csv", "table1", "--cells", "12:3000", "--targets", "4000",
                         "--seed", "5", "--threads", threads)
         assert code == 0
-        cell, g = SeededStream(5).child(0), GammaLevel(0.1)
+        cell, g = SeededStream(5).child(0), 0.1
 
         def radius(delta, n_designs, n_targets, stream):
             query = CoverageQuery.uniform(12, 0.0, 3000, delta)

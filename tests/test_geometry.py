@@ -168,55 +168,62 @@ class TestNearestDistanceEngines:
         b = min_squared_distances(targets, points, engine="blas")
         assert np.allclose(a, b, atol=2e-6)
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, monkeypatch):
+        monkeypatch.setattr(geometry_module, "_TARGET_CHUNK", 256)
         rng = np.random.default_rng(8)
         targets = rng.random((3000, 25))
         points = rng.random((2000, 25))
-        a = min_squared_distances(targets, points, threads=1, target_chunk=256)
-        b = min_squared_distances(targets, points, threads=4, target_chunk=256)
+        a = min_squared_distances(targets, points, threads=1)
+        b = min_squared_distances(targets, points, threads=4)
         assert np.array_equal(a, b)
 
-    def test_point_chunk_does_not_change_result(self):
+    def test_point_chunk_does_not_change_result(self, monkeypatch):
         # more than one 8192-row chunk of points, so the point rows are also
         # filled in the pool when threads > 1
         rng = np.random.default_rng(17)
         targets = rng.random((700, 50))
         points = rng.random((9000, 50))
-        ref = min_squared_distances(targets, points, point_chunk=4096)
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 4096)
+        ref = min_squared_distances(targets, points)
         for point_chunk in (512, 2048):
+            monkeypatch.setattr(geometry_module, "_POINT_CHUNK", point_chunk)
             for threads in (1, 3):
-                got = min_squared_distances(targets, points, threads=threads, point_chunk=point_chunk)
+                got = min_squared_distances(targets, points, threads=threads)
                 assert np.array_equal(got, ref)
 
-    def test_first_hit_matches_bruteforce(self):
+    def test_first_hit_matches_bruteforce(self, monkeypatch):
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 32)
         rng = np.random.default_rng(9)
         targets = rng.random((200, 3))
         points = rng.random((150, 3))
         r = 0.25
-        got = first_hit_index(targets, points, r, point_chunk=32)
+        got = first_hit_index(targets, points, r)
         d2 = ((targets[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
         hit = d2 <= r * r
         expected = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, points.shape[0] + 1)
         assert np.array_equal(got, expected)
 
-    def test_first_hit_thread_count_does_not_change_result(self):
+    def test_first_hit_thread_count_does_not_change_result(self, monkeypatch):
+        monkeypatch.setattr(geometry_module, "_TARGET_CHUNK", 256)
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 512)
         rng = np.random.default_rng(10)
         targets = rng.random((3000, 25))
         points = rng.random((2000, 25))
-        a = first_hit_index(targets, points, 1.1, threads=1, target_chunk=256, point_chunk=512)
-        b = first_hit_index(targets, points, 1.1, threads=2, target_chunk=256, point_chunk=512)
+        a = first_hit_index(targets, points, 1.1, threads=1)
+        b = first_hit_index(targets, points, 1.1, threads=2)
         assert 0 < np.count_nonzero(a <= 2000) < 3000
         assert np.array_equal(a, b)
 
-    def test_first_hit_merges_over_prefixes(self):
+    def test_first_hit_merges_over_prefixes(self, monkeypatch):
         # growing designs rely on this: hits in P[:k], else k + hits in P[k:]
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 1024)
         rng = np.random.default_rng(11)
         targets = rng.random((2000, 20))
         points = rng.random((3000, 20))
         n, k, r = points.shape[0], 1234, 0.95
-        whole = first_hit_index(targets, points, r, point_chunk=1024)
-        head = first_hit_index(targets, points[:k], r, point_chunk=1024)
-        tail = first_hit_index(targets, points[k:], r, point_chunk=1024)
+        whole = first_hit_index(targets, points, r)
+        head = first_hit_index(targets, points[:k], r)
+        tail = first_hit_index(targets, points[k:], r)
         merged = np.where(head <= k, head, np.where(tail <= n - k, k + tail, n + 1))
         assert 0 < np.count_nonzero(head <= k) < np.count_nonzero(whole <= n) < targets.shape[0]
         assert np.array_equal(whole, merged)
@@ -260,18 +267,19 @@ class TestNearestDistanceEngines:
         bound = np.finfo(np.float32).eps * d * spread
         assert np.all(np.abs(got - exact) <= bound)
 
-    def test_thread_counts_mixed_in_one_process(self):
+    def test_thread_counts_mixed_in_one_process(self, monkeypatch):
         # worker pools outlive a call, so interleave counts and reuse each pool
+        monkeypatch.setattr(geometry_module, "_TARGET_CHUNK", 256)
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 512)
         rng = np.random.default_rng(16)
         targets = rng.random((2500, 30))
         points = rng.random((1500, 30))
-        kwargs = dict(target_chunk=256, point_chunk=512)
-        d2 = min_squared_distances(targets, points, threads=1, **kwargs)
-        hit = first_hit_index(targets, points, 1.2, threads=1, **kwargs)
+        d2 = min_squared_distances(targets, points, threads=1)
+        hit = first_hit_index(targets, points, 1.2, threads=1)
         assert 0 < np.count_nonzero(hit <= 1500) < 2500
         for threads in (2, 4, 1, 4, 2):
-            assert np.array_equal(min_squared_distances(targets, points, threads=threads, **kwargs), d2)
-            assert np.array_equal(first_hit_index(targets, points, 1.2, threads=threads, **kwargs), hit)
+            assert np.array_equal(min_squared_distances(targets, points, threads=threads), d2)
+            assert np.array_equal(first_hit_index(targets, points, 1.2, threads=threads), hit)
 
     def test_cli_import_defers_scipy_spatial(self):
         script = textwrap.dedent("""
@@ -337,6 +345,29 @@ class TestNearestDistanceEngines:
         min_squared_distances(rng.random((20, 4)), rng.random((64, 4)), engine="kdtree")
         assert calls == [1]
 
+    def test_kdtree_engine_uses_only_query(self, monkeypatch):
+        # a stand-in tree that forwards only ``query``, as a tracing wrapper may
+        real = geometry_module.cKDTree
+
+        class QueryOnly:
+            __slots__ = ("_tree",)
+
+            def __init__(self, *args, **kwargs):
+                self._tree = real(*args, **kwargs)
+
+            def query(self, *args, **kwargs):
+                return self._tree.query(*args, **kwargs)
+
+        rng = np.random.default_rng(18)
+        targets, points = rng.random((400, 4)), rng.random((3000, 4))
+        full = min_squared_distances(targets, points, engine="kdtree")
+        settle = float(np.quantile(full, 0.8))
+        settled = min_squared_distances(targets, points, engine="kdtree", settle=settle)
+        monkeypatch.setattr(geometry_module, "cKDTree", QueryOnly)
+        for s, expected in ((0.0, full), (settle, settled)):
+            got = min_squared_distances(targets, points, engine="kdtree", settle=s, threads=2)
+            assert np.array_equal(got, expected)
+
 
 class TestSettleBound:
     """``settle`` ends a target's scan early without changing any d2 <= r2 >= settle."""
@@ -346,30 +377,33 @@ class TestSettleBound:
           for d in (2, 3, 11, 20, 50) for c in (1024, 7, 2, 1)),
         *(pytest.param("kdtree", d, 1024, id=f"kdtree-{d}") for d in (2, 3, 4, 10)),
     ])
-    def test_unsettled_targets_keep_their_bits(self, engine, d, target_chunk):
+    def test_unsettled_targets_keep_their_bits(self, monkeypatch, engine, d, target_chunk):
         rng = np.random.default_rng(40 + d)
         targets = rng.random((240, d))
         points = rng.random((2500, d))
         # small point tiles, so BLAS targets settle after a few of many tiles
-        kwargs = dict(engine=engine, target_chunk=target_chunk, point_chunk=200)
+        monkeypatch.setattr(geometry_module, "_TARGET_CHUNK", target_chunk)
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 200)
         for threads in (1, 2):
-            ref = min_squared_distances(targets, points, threads=threads, **kwargs)
+            ref = min_squared_distances(targets, points, threads=threads, engine=engine)
             for q in (0.05, 0.3, 0.7, 0.95, 0.999):
                 settle = float(np.quantile(ref, q))
-                got = min_squared_distances(targets, points, threads=threads, settle=settle, **kwargs)
+                got = min_squared_distances(targets, points, threads=threads, engine=engine,
+                                            settle=settle)
                 settled = got <= settle
                 assert np.array_equal(settled, ref <= settle)
                 assert np.array_equal(got[~settled], ref[~settled])
                 assert np.all(got >= ref)
 
-    def test_settled_targets_skip_later_tiles(self):
+    def test_settled_targets_skip_later_tiles(self, monkeypatch):
         # a point copied into every target sits in the first tile, so every
         # target settles there and keeps the first tile's minimum
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 512)
         rng = np.random.default_rng(47)
         points = rng.random((4000, 20))
         targets = points[:300] + 1e-3
-        first_tile = min_squared_distances(targets, points[:512], engine="blas", point_chunk=512)
-        got = min_squared_distances(targets, points, engine="blas", point_chunk=512, settle=0.01)
+        first_tile = min_squared_distances(targets, points[:512], engine="blas")
+        got = min_squared_distances(targets, points, engine="blas", settle=0.01)
         assert np.array_equal(got, first_tile)
 
     def test_kdtree_settles_on_approximate_neighbours(self):
@@ -394,11 +428,13 @@ class TestSettleBound:
             min_squared_distances(targets, points, engine=engine, settle=settle)
 
     @pytest.mark.parametrize("d", [20, 50])
-    def test_first_hit_does_not_depend_on_hit_block_mates(self, d):
+    def test_first_hit_does_not_depend_on_hit_block_mates(self, monkeypatch, d):
         # block A pairs each target with far-away targets that are never hit;
         # block B with copies of first-tile points, hit at once, so the target
         # is left alone for every later tile; radii sit within float32
         # rounding of its nearest distance, where the tile's bits decide
+        monkeypatch.setattr(geometry_module, "_TARGET_CHUNK", 16)
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 64)
         rng = np.random.default_rng(49 + d)
         points = rng.random((2000, d))
         far = 5.0 + rng.random((15, d))
@@ -410,9 +446,8 @@ class TestSettleBound:
             block_b = np.vstack([u, points[:15]])
             for scale in 1.0 + 2e-7 * np.arange(-25, 26):
                 r = math.sqrt(dist.min() * scale)
-                kwargs = dict(point_chunk=64, target_chunk=16)
-                a = first_hit_index(block_a, points, r, **kwargs)
-                b = first_hit_index(block_b, points, r, **kwargs)
+                a = first_hit_index(block_a, points, r)
+                b = first_hit_index(block_b, points, r)
                 assert np.all(a[1:] == 2001) and np.all(b[1:] <= 15)
                 assert a[0] == b[0]
 
@@ -422,22 +457,22 @@ class TestStages:
     schedule nor the order of the points changes a value, and its memory does
     not grow with the number of points."""
 
-    def test_settle_zero_values_are_invariant(self):
+    def test_settle_zero_values_are_invariant(self, monkeypatch):
         # with one thread a stage is 8192 rows: n spans three stages and a
         # lone last point
         n = 3 * geometry_module._ROW_CHUNK + 1
         rng = np.random.default_rng(31)
         targets, points = rng.random((256, 12)), rng.random((n, 12))
         ref = min_squared_distances(targets, points, engine="blas")
-        for point_chunk in (512, 2048, n):
-            for threads in (1, 3):
-                got = min_squared_distances(targets, points, engine="blas",
-                                            point_chunk=point_chunk, threads=threads)
-                assert np.array_equal(got, ref)
         shuffled = points[rng.permutation(n)]
         assert np.array_equal(min_squared_distances(targets, shuffled, engine="blas"), ref)
+        for point_chunk in (512, 2048, n):
+            monkeypatch.setattr(geometry_module, "_POINT_CHUNK", point_chunk)
+            for threads in (1, 3):
+                got = min_squared_distances(targets, points, engine="blas", threads=threads)
+                assert np.array_equal(got, ref)
 
-    def test_first_hits_are_invariant(self):
+    def test_first_hits_are_invariant(self, monkeypatch):
         # three full stages on one thread, then a lone point; the last target
         # lies 0.45 from that point, away from the centre, and no other point
         # is within 0.5 of it
@@ -452,8 +487,9 @@ class TestStages:
         assert np.unique((ref[ref <= n] - 1) // geometry_module._ROW_CHUNK).size == 4
         assert np.count_nonzero(ref == n + 1) > 0
         for point_chunk in (512, 2048, 4096, n):
+            monkeypatch.setattr(geometry_module, "_POINT_CHUNK", point_chunk)
             for threads in (1, 3):
-                got = first_hit_index(targets, rows, r, point_chunk=point_chunk, threads=threads)
+                got = first_hit_index(targets, rows, r, threads=threads)
                 assert np.array_equal(got, ref)
 
     def test_peak_memory_does_not_grow_with_n(self):
@@ -490,7 +526,7 @@ class TestStages:
 
         def filled(points) -> np.ndarray:
             pieces, shape, _ = geometry_module._as_points(points)
-            ex = geometry_module._CentredExpansion(pieces, shape, 2048, 1)
+            ex = geometry_module._CentredExpansion(pieces, shape, 1)
             buf = np.empty((n + 1, d + 1), dtype=np.float32)
             ex._fill(buf, 0, 0, n)
             return buf[:n]
@@ -577,17 +613,17 @@ class TestBlockShapeBits:
     (n = 2049) get the values they get inside a full block."""
 
     @staticmethod
-    def _tiles(points, t, point_chunk=2048):
+    def _tiles(points, t):
         # every tile of the (never finished) rows of targets t, as one block
         read, shape, _ = geometry_module._as_points(points)
-        ex = geometry_module._CentredExpansion(read, shape, point_chunk, 1)
+        ex = geometry_module._CentredExpansion(read, shape, 1)
         got = []
 
         def visit(j, rows, tile):
             got.append(tile.copy())
             return np.zeros(rows.size, dtype=bool)
 
-        ex.sweep(t, t.shape[0], lambda tnorm: visit)
+        ex.sweep(t, lambda tnorm: visit)
         return got
 
     @pytest.mark.parametrize("d", [3, 12, 50])
@@ -617,14 +653,15 @@ class TestBlockShapeBits:
             assert all(np.array_equal(a[0], b[i]) for a, b in zip(lone, full))
 
     @pytest.mark.parametrize("d, rows", [(12, 16), (12, 32), (50, 8)])
-    def test_blocks_of_8_16_32_rows(self, d, rows):
+    def test_blocks_of_8_16_32_rows(self, monkeypatch, d, rows):
         # a last block of 8, 16 or 32 targets, whose product with a full
         # 2048-point chunk has at most 1e6 multiply-adds, against the same
         # targets in one block of 1024 + rows
         rng = np.random.default_rng(75 + rows)
         targets, points = rng.random((1024 + rows, d)), rng.random((4096, d))
         got = min_squared_distances(targets, points, engine="blas")
-        whole = min_squared_distances(targets, points, engine="blas", target_chunk=2048)
+        monkeypatch.setattr(geometry_module, "_TARGET_CHUNK", 2048)
+        whole = min_squared_distances(targets, points, engine="blas")
         assert np.array_equal(got, whole)
 
     @pytest.mark.parametrize("d, rows", [(12, 16), (12, 32), (50, 8)])
@@ -634,7 +671,7 @@ class TestBlockShapeBits:
         targets, points = rng.random((1024, d)), rng.random((4096, d))
         full = self._tiles(points, targets)
         read, shape, _ = geometry_module._as_points(points)
-        ex = geometry_module._CentredExpansion(read, shape, 2048, 1)
+        ex = geometry_module._CentredExpansion(read, shape, 1)
         kept = np.arange(3, 1024, 1024 // rows)[:rows]
         got = []
 
@@ -642,7 +679,7 @@ class TestBlockShapeBits:
             got.append((live.copy(), tile.copy()))
             return ~np.isin(live, kept)
 
-        ex.sweep(targets, targets.shape[0], lambda tnorm: visit)
+        ex.sweep(targets, lambda tnorm: visit)
         live, tile = got[1]
         assert np.array_equal(live, kept)
         assert np.array_equal(tile, full[1][kept])
@@ -692,15 +729,13 @@ class TestBlockShapeBits:
         step = rng.standard_normal((1024, d))
         step *= r * (1.0 + 1e-5 * (rng.random((1024, 1)) - 0.5)) / np.linalg.norm(step, axis=1)[:, None]
         targets = centre + step
-        kwargs = dict(point_chunk=2048)
         # lone last point (index 2049) against the same point ending a full chunk
-        lone_pt = first_hit_index(targets, np.vstack([far, centre]), r, **kwargs)
-        full_pt = first_hit_index(targets, np.vstack([far[1:], centre]), r, **kwargs)
+        lone_pt = first_hit_index(targets, np.vstack([far, centre]), r)
+        full_pt = first_hit_index(targets, np.vstack([far[1:], centre]), r)
         assert np.array_equal(lone_pt == 2049, full_pt == 2048)
         assert 0 < np.count_nonzero(lone_pt == 2049) < 1024
         # lone last target row against the same target inside a full block
-        in_full = first_hit_index(targets, np.vstack([centre, far]), r, **kwargs)
+        in_full = first_hit_index(targets, np.vstack([centre, far]), r)
         for i in range(0, 1024, 73):
-            lone = first_hit_index(np.vstack([targets, targets[i]]), np.vstack([centre, far]),
-                                   r, **kwargs)
+            lone = first_hit_index(np.vstack([targets, targets[i]]), np.vstack([centre, far]), r)
             assert lone[1024] == in_full[i]

@@ -23,6 +23,7 @@ from cubecover.intersect import (
     mc_intersection_oracle,
     sum_moments,
 )
+from cubecover.sampling import draw_delta_cube
 from cubecover.streams import SeededStream
 
 
@@ -158,7 +159,7 @@ class TestEdgeworthTerms:
             ref = self.reference(u, 0.7, alpha, r, order)
             # the term of this order is well above the tolerance
             assert abs(ref - self.reference(u, 0.7, alpha, r, order - 1)) > 1e-5
-            got = edgeworth_probability(u, 0.7, alpha, r, order=order, clamp=False)
+            got = edgeworth_probability(u, 0.7, alpha, r, order=order)
             assert got == pytest.approx(ref, rel=1e-12)
 
 class TestCltProbability:
@@ -240,10 +241,8 @@ class TestBallProbabilityBatch:
             clt = np.array([clt_probability(u, 0.7, alpha, r) for u in U])
             assert np.array_equal(clt, ball_probability_batch(U, 0.7, alpha, r, order=0))
             for order in (0, 1, 2):
-                for clamp in (True, False):
-                    scalar = np.array([edgeworth_probability(u, 0.7, alpha, r, order=order,
-                                                             clamp=clamp) for u in U])
-                    assert np.array_equal(scalar, ball_probability_batch(U, 0.7, alpha, r, order, clamp))
+                scalar = np.array([edgeworth_probability(u, 0.7, alpha, r, order=order) for u in U])
+                assert np.array_equal(scalar, ball_probability_batch(U, 0.7, alpha, r, order))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -284,19 +283,17 @@ class TestMcOracle:
                 for r in np.linspace(0.1, 1.5, 15)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_chunking_invariance(self):
-        import cubecover.intersect as intersect
-
-        u = np.full(2, 0.4)
-        full = mc_intersection_oracle(u, 1.0, 1.0, 0.3, 150, SeededStream(6))
-        old = intersect._MC_CHUNK
-        try:
-            intersect._MC_CHUNK = 64
-            chunked = mc_intersection_oracle(u, 1.0, 1.0, 0.3, 150, SeededStream(6))
-        finally:
-            intersect._MC_CHUNK = old
-        # same stream, different chunking: jumped substreams keep draws aligned
-        assert chunked.value == full.value
+    def test_chunks_draw_from_jumped_substreams(self, monkeypatch):
+        # chunk c of _MC_CHUNK samples is drawn from stream.jumped(c): 150
+        # samples in chunks of 64 are 64, 64 and 22 rows of three substreams
+        u, r, stream = np.full(2, 0.4), 0.3, SeededStream(6)
+        monkeypatch.setattr(intersect_module, "_MC_CHUNK", 64)
+        hits = 0
+        for c, m in enumerate((64, 64, 22)):
+            x = draw_delta_cube(stream.jumped(c), m, u.size, 1.0, 1.0)
+            x -= u
+            hits += int(np.count_nonzero(np.einsum("ij,ij->i", x, x) <= r * r))
+        assert mc_intersection_oracle(u, 1.0, 1.0, r, 150, stream).value == hits / 150
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_blocks_do_not_change_the_estimate(self, monkeypatch, alpha):

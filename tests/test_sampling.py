@@ -6,6 +6,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
+import cubecover.sampling as sampling_module
 from cubecover.sampling import (
     IidRows,
     SamplingScheme,
@@ -193,8 +194,9 @@ class TestHammingDesign:
         assert np.array_equal(a.points, b.points) and a.shortfall == b.shortfall
         assert not np.array_equal(a.points, c.points)
 
-    def test_shortfall_flag_on_tiny_budget(self):
-        des = min_hamming_vertex_design(16, 2**10, SeededStream(18), retry_budget=5)
+    def test_shortfall_flag_on_tiny_budget(self, monkeypatch):
+        monkeypatch.setattr(sampling_module, "_hamming_max_draws", lambda n_max: 5)
+        des = min_hamming_vertex_design(16, 2**10, SeededStream(18))
         assert des.shortfall
         assert des.n <= 6
 

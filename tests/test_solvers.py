@@ -8,7 +8,6 @@ from cubecover.coverage import CoverageQuery, coverage_design_averaged, nearest_
 from cubecover.geometry import unit_ball_volume
 from cubecover.sampling import SamplingScheme, TargetPrior
 from cubecover.solvers import (
-    GammaLevel,
     RadiusCell,
     _coverage_order_statistic,
     _exact_radius,
@@ -28,16 +27,24 @@ from cubecover.solvers import (
 from cubecover.streams import SeededStream
 
 
-class TestGammaLevel:
-    def test_validation(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                GammaLevel(bad)
-
-    def test_quantile(self):
-        g = GammaLevel(0.1)
-        assert g.normalized_quantile(1) == pytest.approx(-math.log(0.1))
-        assert g.normalized_quantile(10) == pytest.approx((-math.log(0.1)) ** 0.1)
+class TestGammaValidation:
+    def test_solvers_reject_gamma_outside_unit_interval(self):
+        uniform, prior, stream = SamplingScheme.uniform(3), TargetPrior.uniform(3), SeededStream(1)
+        solvers = [
+            lambda g: n_gamma_classical(0.01, g),
+            lambda g: n_gamma_asymptotic(3, 0.1, g),
+            lambda g: worst_case_n_mixture(3, 0.1, g),
+            lambda g: asymptotic_radius(3, 100, g),
+            lambda g: empirical_radius_quantile(3, 100, uniform, prior, g, stream, n_targets=50),
+            lambda g: radius_best_delta(3, 100, g, [0.5, 1.0], stream, n_targets=50),
+            lambda g: radius_table_cell(3, 100, g, [0.5, 1.0], stream, n_targets=50),
+            lambda g: empirical_n_gamma(3, 0.3, uniform, g, stream, n_targets=50),
+            lambda g: empirical_n_gamma_best_delta(3, 0.3, g, stream, n_targets=50),
+        ]
+        for solve in solvers:
+            for bad in (0.0, 1.0, -0.2, 1.5, math.nan):
+                with pytest.raises(ValueError, match="gamma must lie in"):
+                    solve(bad)
 
 
 class TestClassicalCount:
@@ -321,15 +328,14 @@ class TestRadiusHint:
         return nearest_distance_sample(query, 2, 2500, SeededStream(31))
 
     def test_hint_above_the_answer_falls_back(self, monkeypatch):
-        ref = _exact_radius(self._full_sample(), GammaLevel(0.1))
+        ref = _exact_radius(self._full_sample(), 0.1)
         calls = self._counted(monkeypatch)
         assert self._radius(hint=2.0 * ref) == ref
         assert calls == [2.0 * ref, 0.0]
 
     def test_hint_at_the_order_statistic(self, monkeypatch):
         d2 = self._full_sample()
-        g = GammaLevel(0.1)
-        ref, q = _exact_radius(d2, g), float(_coverage_order_statistic(d2, g))
+        ref, q = _exact_radius(d2, 0.1), float(_coverage_order_statistic(d2, 0.1))
         k = math.ceil(0.9 * d2.size)
         calls = self._counted(monkeypatch)
         for hint in (math.nextafter(math.sqrt(q), 0.0), math.sqrt(q),
@@ -342,7 +348,7 @@ class TestRadiusHint:
 
     def test_hint_below_the_answer_draws_once(self, monkeypatch):
         d2 = self._full_sample()
-        ref = _exact_radius(d2, GammaLevel(0.1))
+        ref = _exact_radius(d2, 0.1)
         hint = math.sqrt(float(np.quantile(d2, 0.5)))
         calls = self._counted(monkeypatch)
         assert self._radius(hint=hint) == ref
@@ -350,19 +356,19 @@ class TestRadiusHint:
 
     def test_zero_hint_is_the_unhinted_solve(self, monkeypatch):
         calls = self._counted(monkeypatch)
-        assert self._radius(hint=0.0) == _exact_radius(self._full_sample(), GammaLevel(0.1))
+        assert self._radius(hint=0.0) == _exact_radius(self._full_sample(), 0.1)
         assert calls == [0.0]
 
     @pytest.mark.parametrize("quantile", [0.2, 0.85, 0.95])
     def test_kdtree_engine(self, quantile):
         d2 = self._full_sample(d=5)
-        ref = _exact_radius(d2, GammaLevel(0.1))
+        ref = _exact_radius(d2, 0.1)
         assert self._radius(hint=math.sqrt(float(np.quantile(d2, quantile))), d=5) == ref
 
     def test_threads_do_not_change_the_radius(self):
         d2 = self._full_sample()
-        ref = _exact_radius(d2, GammaLevel(0.1))
-        hint = _radius_hint(d2, GammaLevel(0.1))
+        ref = _exact_radius(d2, 0.1)
+        hint = _radius_hint(d2, 0.1)
         assert 0.0 < hint < ref
         assert self._radius(hint=hint, threads=1) == self._radius(hint=hint, threads=3) == ref
 
@@ -395,7 +401,7 @@ class TestRadiusWalk:
         for delta in sorted(grid):
             d2 = nearest_distance_sample(CoverageQuery.uniform(d, 0.0, n, delta), 1, 1500,
                                          stream.child(1))
-            r = _exact_radius(d2, GammaLevel(0.1))
+            r = _exact_radius(d2, 0.1)
             if r <= best_r:
                 best_delta, best_r = delta, r
         r_best = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, best_delta), prior, 0.1,
