@@ -13,10 +13,10 @@ import numpy as np
 from cubecover import (
     SeededStream,
     clt_probability,
+    coordinate_cumulants,
     edgeworth_probability,
     kappa_density_sample,
     mc_intersection_oracle,
-    sum_moments,
 )
 
 d, delta = 10, 1.0
@@ -24,9 +24,9 @@ stream = SeededStream(2025, 4)
 
 for label, u_val in (("U = centre", 0.5), ("U = (3/4,...,3/4)", 0.75)):
     u = np.full(d, u_val)
-    ms = sum_moments(u, delta)
-    print(f"\n{label}: mean ||U-X||^2 = {ms.mean:.4f}, std = {ms.std:.4f}, "
-          f"third cumulant = {ms.summed_cumulant(3):.5f}")
+    mean, var, k3, _ = coordinate_cumulants(u, delta).sum(axis=0)
+    print(f"\n{label}: mean ||U-X||^2 = {mean:.4f}, std = {np.sqrt(var):.4f}, "
+          f"third cumulant = {k3:.5f}")
     print(f"{'r':>5} {'oracle':>8} {'CLT':>8} {'Edgeworth':>9}")
     for i, r in enumerate((0.6, 0.8, 1.0, 1.2)):
         mc = mc_intersection_oracle(u, delta, 1.0, r, 400_000, stream.child(10 * int(u_val * 4) + i))

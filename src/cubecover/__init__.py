@@ -19,14 +19,13 @@ from .geometry import (
     unit_ball_volume,
 )
 from .intersect import (
-    MomentSet,
     ball_probability,
     clt_probability,
+    coordinate_cumulants,
     coordinate_moments,
     edgeworth_probability,
     kappa_density_sample,
     mc_intersection_oracle,
-    sum_moments,
 )
 from .sampling import (
     Design,

@@ -67,10 +67,18 @@ class CliError(ValueError):
 
 
 def _number(text: str) -> float:
-    """Every other float the CLI reads (radii, alpha, gamma) is finite and >= 0."""
+    """Every other float the CLI reads (radii, alpha, grid values) is finite and >= 0."""
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
         raise CliError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _gamma(text: str) -> float:
+    """The miss level gamma lies in (0, 1); NaN fails the comparison too."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise CliError(f"must lie in (0, 1), got {text!r}")
     return value
 
 
@@ -147,7 +155,7 @@ def _delta_grid(text: str) -> list[float]:
 # defaults live in _COMMANDS because some differ by command.
 _FIELDS = {
     "dim": int, "dims": _int_list, "n": int, "r": _number, "r_grid": _parse_grid,
-    "delta": _delta, "delta_grid": _delta_grid, "alpha": _number, "gamma": _number,
+    "delta": _delta, "delta_grid": _delta_grid, "alpha": _number, "gamma": _gamma,
     "scheme": str, "prior": str, "targets": int, "inner": int, "designs": int,
     "cells": str, "cap": _positive_int, "bins": int, "u": _cube_coordinates, "bounds": _bool,
     "hamming_nmax": int, "sweep_targets": int,

@@ -91,7 +91,7 @@ def coverage_design_conditional(query: CoverageQuery, design: Design, n_targets:
     r2 = query.radius**2
     d2 = min_squared_distances(targets, design.points, threads=threads, settle=r2)
     p = float(np.count_nonzero(d2 <= r2)) / n_targets
-    return CoverageEstimate(p, binomial_std_error(p, n_targets), n_targets, 1, "design_conditional")
+    return CoverageEstimate(p, binomial_std_error(p, n_targets))
 
 
 def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int,
@@ -144,7 +144,7 @@ def _averaged_estimate(d2: np.ndarray, radius: float) -> CoverageEstimate:
         se = float(per_design.std(ddof=1) / math.sqrt(n_designs))
     else:
         se = binomial_std_error(value, n_targets)
-    return CoverageEstimate(value, se, n_targets, n_designs, "design_averaged")
+    return CoverageEstimate(value, se)
 
 
 def coverage_design_averaged(query: CoverageQuery, n_designs: int, n_targets: int,
@@ -163,14 +163,14 @@ def coverage_design_averaged(query: CoverageQuery, n_designs: int, n_targets: in
 
 
 def coverage_product_form(query: CoverageQuery, n_targets: int, inner: int,
-                          stream: SeededStream, *, method: str = "mc",
-                          order: int = 1) -> CoverageEstimate:
+                          stream: SeededStream, *, method: str = "mc") -> CoverageEstimate:
     """Outer Monte Carlo over targets of 1 - (1 - p(U))^n.
 
     ``method`` selects how p(U) is evaluated: "mc" (inner Monte Carlo of size
-    ``inner``, independent per target) or "edgeworth"/"clt" (analytic, no
-    inner noise).  The inner-MC route is flagged when n * p(1-p)/inner gets
-    large, since the nonlinearity then biases the plug-in upward.
+    ``inner``, independent per target) or "edgeworth" (the order-1 expansion
+    of :func:`cubecover.intersect.ball_probability_batch`, no inner noise).
+    The inner-MC route is flagged when n * p(1-p)/inner gets large, since the
+    nonlinearity then biases the plug-in upward.
     """
     if not query.scheme.is_iid:
         raise ValueError("the product form needs an i.i.d. scheme")
@@ -178,8 +178,8 @@ def coverage_product_form(query: CoverageQuery, n_targets: int, inner: int,
     r, n = query.radius, query.n_points
     delta, alpha = query.scheme.delta, query.scheme.alpha
 
-    if method in ("edgeworth", "clt"):
-        p = ball_probability_batch(targets, delta, alpha, r, order=0 if method == "clt" else order)
+    if method == "edgeworth":
+        p = ball_probability_batch(targets, delta, alpha, r, order=1)
         bias_flagged = False
     elif method == "mc":
         if inner < 1:
@@ -192,7 +192,7 @@ def coverage_product_form(query: CoverageQuery, n_targets: int, inner: int,
     vals = -np.expm1(n * np.log1p(-np.minimum(p, 1.0 - 1e-16)))
     value = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_targets)) if n_targets > 1 else 0.0
-    return CoverageEstimate(min(max(value, 0.0), 1.0), se, n_targets, 1, "product_form", bias_flagged)
+    return CoverageEstimate(min(max(value, 0.0), 1.0), se, bias_flagged)
 
 
 def _inner_mc_probabilities(targets: np.ndarray, delta: float, alpha: float, r: float,
@@ -221,37 +221,33 @@ def _inner_mc_probabilities(targets: np.ndarray, delta: float, alpha: float, r: 
     return p
 
 
-def _bound(query: CoverageQuery, u_value: float, method: str, order: int,
-           n_samples: int, stream: SeededStream | None) -> float:
+def _bound(query: CoverageQuery, u_value: float) -> float:
     if not query.scheme.is_iid or query.scheme.alpha != 1.0:
         raise ValueError("Jensen bounds are defined for the i.i.d. uniform scheme")
     if query.prior.alpha != 1.0:
         raise ValueError("Jensen bounds are defined for the uniform target prior")
     u = np.full(query.dimension, u_value)
-    p = ball_probability(u, query.scheme.delta, 1.0, query.radius,
-                         method=method, order=order, n_samples=n_samples, stream=stream)
+    p = ball_probability(u, query.scheme.delta, 1.0, query.radius)
     return float(-math.expm1(query.n_points * math.log1p(-min(p, 1.0 - 1e-16))))
 
 
-def jensen_bound_center(query: CoverageQuery, *, method: str = "auto", order: int = 1,
-                        n_samples: int = 100_000, stream: SeededStream | None = None) -> float:
+def jensen_bound_center(query: CoverageQuery) -> float:
     """Upper bound 1 - (1 - P{||(1/2,...,1/2) - X|| <= r})^n on F_d(r, X_n).
 
     For r <= delta/2 the inner probability is exactly r^d V_d / delta^d (the
     ball sits inside the cube), so the bound coincides with the asymptotic
-    one; ``method`` follows :func:`cubecover.intersect.ball_probability`.
+    one; otherwise it comes from :func:`cubecover.intersect.ball_probability`.
     """
-    return _bound(query, 0.5, method, order, n_samples, stream)
+    return _bound(query, 0.5)
 
 
-def jensen_bound_refined(query: CoverageQuery, *, method: str = "auto", order: int = 1,
-                         n_samples: int = 100_000, stream: SeededStream | None = None) -> float:
+def jensen_bound_refined(query: CoverageQuery) -> float:
     """Refined bound with the center moved to (3/4,...,3/4).
 
     The ball around 3/4 leaves the cube sooner, so its hit probability is
     smaller and this bound is tighter than the centered one.
     """
-    return _bound(query, 0.75, method, order, n_samples, stream)
+    return _bound(query, 0.75)
 
 
 def _paired_distance_sample(query: CoverageQuery, inner: int, stream: SeededStream) -> np.ndarray:
@@ -292,7 +288,7 @@ def _product_form_estimate(d2: np.ndarray, radius: float, n_points: int) -> Cove
     value = -math.expm1(n * math.log1p(-min(p_bar, 1.0 - 1e-16)))
     slope = n * (1.0 - p_bar) ** (n - 1)
     se = slope * binomial_std_error(p_bar, inner)
-    return CoverageEstimate(min(max(value, 0.0), 1.0), se, inner, 1, "product_form_approx")
+    return CoverageEstimate(min(max(value, 0.0), 1.0), se)
 
 
 def product_form_approximation(query: CoverageQuery, inner: int,

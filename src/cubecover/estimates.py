@@ -14,19 +14,14 @@ def binomial_std_error(p: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class CoverageEstimate:
-    """An estimated probability with its standard error and provenance.
+    """An estimated probability with its standard error.
 
-    ``method`` is one of "design_conditional", "design_averaged",
-    "product_form", "product_form_approx" or "mc_oracle";
     ``bias_flagged`` marks product-form estimates whose inner Monte Carlo
     noise makes the (1-p)^n plug-in visibly biased.
     """
 
     value: float
     std_error: float
-    n_targets: int
-    n_designs: int = 1
-    method: str = "design_conditional"
     bias_flagged: bool = False
 
     def __post_init__(self):

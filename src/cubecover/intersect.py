@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .sampling import TargetPrior, _mc_block_rows, delta_cube_blocks, sample_tar
 from .streams import SeededStream
 
 __all__ = [
-    "MomentSet",
     "ball_probability",
     "ball_probability_batch",
     "clt_probability",
@@ -31,7 +29,6 @@ __all__ = [
     "edgeworth_probability",
     "kappa_density_sample",
     "mc_intersection_oracle",
-    "sum_moments",
 ]
 
 # Samples per counter-jumped substream of mc_intersection_oracle; chunk c
@@ -124,44 +121,6 @@ def coordinate_cumulants(u, delta: float, alpha: float = 1.0, nu_max: int = 4) -
     return out
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Moments/cumulants of ||U - X||^2 for one fixed U."""
-
-    mean: float
-    variance: float
-    per_coordinate_cumulants: np.ndarray  # shape (d, nu_max), order nu = column + 1
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def dimension(self) -> int:
-        return self.per_coordinate_cumulants.shape[0]
-
-    @property
-    def nu_max(self) -> int:
-        return self.per_coordinate_cumulants.shape[1]
-
-    def summed_cumulant(self, nu: int) -> float:
-        if not 1 <= nu <= self.nu_max:
-            raise ValueError(f"cumulant order {nu} not computed (have 1..{self.nu_max})")
-        return float(self.per_coordinate_cumulants[:, nu - 1].sum())
-
-
-def sum_moments(U, delta: float, alpha: float = 1.0, nu_max: int = 4) -> MomentSet:
-    """Moments of ||U - X||^2 with X i.i.d. p_{alpha,delta} per coordinate.
-
-    For alpha = 1 the sums collapse to closed forms, e.g.
-    mean = ||U - (1/2,...,1/2)||^2 + d * delta^2 / 12.
-    """
-    u = as_point(U)
-    cum = coordinate_cumulants(u, delta, alpha, max(nu_max, 2))
-    sums = cum.sum(axis=0)
-    return MomentSet(float(sums[0]), float(sums[1]), cum)
-
-
 def _edgeworth_cdf(t: np.ndarray, sigma: np.ndarray, cum_sums: np.ndarray, order: int) -> np.ndarray:
     """Phi(t) + Q_1(t) + ... + Q_order(t), order 0 to 2, row-vectorized, with
 
@@ -230,44 +189,24 @@ def ball_probability_batch(U_rows, delta: float, alpha: float, r: float,
     return np.clip(vals, 0.0, 1.0)
 
 
-def ball_probability(U, delta: float, alpha: float, r: float, *,
-                     method: str = "auto", order: int = 1,
-                     n_samples: int = 100_000, stream: SeededStream | None = None) -> float:
-    """P{||U - X|| <= r} via the requested route.
+def ball_probability(U, delta: float, alpha: float, r: float) -> float:
+    """P{||U - X|| <= r}, exact where geometry gives it, else Edgeworth order 1.
 
-    "auto" uses exact geometry when available (ball fully inside the
-    delta-cube for alpha = 1: probability r^d V_d / delta^d; ball past the
-    farthest corner: probability 1) and the Edgeworth expansion otherwise.
-    "clt", "edgeworth" and "mc" force the respective route.
+    Exact cases: the ball reaches past the delta-cube's farthest corner
+    (probability 1), or, for alpha = 1, the ball sits inside the delta-cube
+    (probability r^d V_d / delta^d).  Otherwise the value is that of
+    :func:`ball_probability_batch` at ``order=1``.
     """
     u = as_point(U)
-    if method == "auto":
-        exact = _exact_probability(u, delta, alpha, r)
-        if exact is not None:
-            return exact
-        method = "edgeworth"
-    if method in ("clt", "edgeworth"):
-        return float(ball_probability_batch(u[None, :], delta, alpha, r,
-                                            order=0 if method == "clt" else order)[0])
-    if method == "mc":
-        if stream is None:
-            raise ValueError("method='mc' needs a SeededStream")
-        return mc_intersection_oracle(u, delta, alpha, r, n_samples, stream).value
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _exact_probability(u: np.ndarray, delta: float, alpha: float, r: float) -> float | None:
     d = u.size
     lo, hi = 0.5 - 0.5 * delta, 0.5 + 0.5 * delta
     reach = np.maximum(np.abs(u - lo), np.abs(hi - u))
     if r * r >= float(np.dot(reach, reach)):
         return 1.0  # ball swallows the whole delta-cube
-    if alpha == 1.0:
-        margin = 0.5 * delta - float(np.max(np.abs(u - 0.5)))
-        if r <= margin:
-            # ball fully inside the cube: uniform mass is vol(ball)/delta^d
-            return math.exp(d * math.log(r) + log_unit_ball_volume(d) - d * math.log(delta)) if r > 0 else 0.0
-    return None
+    if alpha == 1.0 and r <= 0.5 * delta - float(np.max(np.abs(u - 0.5))):
+        # ball fully inside the cube: uniform mass is vol(ball)/delta^d
+        return math.exp(d * math.log(r) + log_unit_ball_volume(d) - d * math.log(delta)) if r > 0 else 0.0
+    return float(ball_probability_batch(u[None, :], delta, alpha, r, order=1)[0])
 
 
 def mc_intersection_oracle(U, delta: float, alpha: float, r: float,
@@ -294,13 +233,7 @@ def mc_intersection_oracle(U, delta: float, alpha: float, r: float,
             hits += int(np.count_nonzero(np.einsum("ij,ij->i", x, x) <= r2))
             del x  # freed before the next block is drawn
     p = hits / n_samples
-    return CoverageEstimate(
-        value=p,
-        std_error=math.sqrt(p * (1.0 - p) / n_samples),
-        n_targets=n_samples,
-        n_designs=1,
-        method="mc_oracle",
-    )
+    return CoverageEstimate(p, math.sqrt(p * (1.0 - p) / n_samples))
 
 
 def kappa_density_sample(d: int, r: float, delta: float, n_outer: int, n_inner: int,

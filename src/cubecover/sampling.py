@@ -237,6 +237,12 @@ class IidRows:
                                  max(1, _PIECE_BYTES // (8 * d)))
 
 
+def _random_mask(gen: np.random.Generator, dimension: int) -> int:
+    """One uniformly random vertex bitmask of the d-cube, bit j from draw j."""
+    bits = gen.integers(0, 2, size=dimension)
+    return sum(int(b) << j for j, b in enumerate(bits))
+
+
 def _vertex_masks(gen: np.random.Generator, dimension: int, count: int) -> list[int]:
     """``count`` distinct vertex bitmasks of the d-cube, sampled without replacement."""
     total = 1 << dimension if dimension < 63 else None
@@ -248,8 +254,7 @@ def _vertex_masks(gen: np.random.Generator, dimension: int, count: int) -> list[
     seen: set[int] = set()
     masks: list[int] = []
     while len(masks) < count:
-        bits = gen.integers(0, 2, size=dimension)
-        m = sum(int(b) << j for j, b in enumerate(bits))
+        m = _random_mask(gen, dimension)
         if m not in seen:
             seen.add(m)
             masks.append(m)
@@ -326,8 +331,7 @@ def min_hamming_vertex_design(dimension: int, n_max: int, stream: SeededStream) 
     draws = 0
     while len(accepted) < n_max - 1 and draws < budget:
         draws += 1
-        bits = gen.integers(0, 2, size=dimension)
-        m = sum(int(b) << j for j, b in enumerate(bits))
+        m = _random_mask(gen, dimension)
         if m in tried:
             continue
         tried.add(m)

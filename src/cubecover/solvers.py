@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
+from .coverage import CoverageQuery, coverage_design_averaged, nearest_distance_sample
 from .estimates import CoverageEstimate
 from .geometry import first_hit_index, log_unit_ball_volume
 from .sampling import IidRows, SamplingScheme, TargetPrior, sample_targets
@@ -244,10 +244,8 @@ def delta_sweep(
         scheme = SamplingScheme.beta(d, alpha, delta)
         # the same stream at every delta: the grid is compared on coupled
         # draws, not refreshed ones
-        query = CoverageQuery(d, r, n, scheme, prior)
-        d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads,
-                                     settle_radius=r)
-        est = _averaged_estimate(d2, r)
+        est = coverage_design_averaged(CoverageQuery(d, r, n, scheme, prior), n_designs,
+                                       n_targets, stream, threads=threads)
         grid.append((delta, est))
         if est.value >= best_cov:  # >= so ties break toward larger delta
             best_delta, best_cov = delta, est.value

@@ -329,6 +329,28 @@ class TestValidation:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["radius", "--dim", "3", "--n", "10", "--gamma", "1.5", "--targets", "100"],
+        ["radius", "--dim", "3", "--n", "10", "--gamma=-0.2", "--targets", "100"],
+        ["ngamma", "--dim", "5", "--r-grid", "0.5", "--gamma", "0"],
+        ["table1", "--cells", "6:200", "--targets", "500", "--gamma", "1"],
+        ["sobol-compare", "--dims", "5", "--targets", "500", "--gamma", "nan"],
+    ], ids=["above-one", "negative", "zero", "one", "nan"])
+    def test_gamma_outside_unit_interval_named(self, tmp_path, capsys, args):
+        code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
+        assert code == 2
+        assert "--gamma: must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gamma_outside_unit_interval_rejected_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("gamma = 1\n")
+        code, out = run(tmp_path, "o.csv", "radius", "--dim", "3", "--n", "10",
+                        "--targets", "100", "--seed", "1", "--config", str(cfg))
+        assert code == 2
+        assert "g.cfg:1: gamma: must lie in (0, 1), got '1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_u_outside_the_cube_rejected_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "u.cfg"
         cfg.write_text("u = 0.2,1.5,0.9\n")
@@ -598,17 +620,27 @@ class TestBenchmarkShape:
     """
 
     @staticmethod
-    def _workloads(monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    def _perfbench(monkeypatch, stem):
+        """``perfbench/<stem>.py`` loaded read-only, as a module of its own."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
         module = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
         spec.loader.exec_module(module)
-        return module.WORKLOADS
+        return module
+
+    def test_traced_names_resolve(self, monkeypatch):
+        # a traced name that no longer exists would break every --trace 1 run
+        tracer = self._perfbench(monkeypatch, "tracer")
+        for _, modname, attr, _, _ in tracer.TRACED:
+            assert callable(getattr(importlib.import_module(modname), attr, None)), f"{modname}.{attr}"
+        for _, attr in tracer.TRACED_METHODS:
+            assert callable(getattr(SeededStream, attr, None)), f"SeededStream.{attr}"
+        assert callable(geometry_module.cKDTree)
 
     @pytest.mark.parametrize("name", ["radius-table", "coverage-d50"])
     def test_traced_call_counts(self, tmp_path, monkeypatch, name):
-        workload = self._workloads(monkeypatch)[name]
+        workload = self._perfbench(monkeypatch, "workloads").WORKLOADS[name]
         counts = {"geometry.min_sq.calls": 0, "geometry.kdtree.calls": 0}
         real_min_sq, real_tree = coverage_module.min_squared_distances, geometry_module.cKDTree
 

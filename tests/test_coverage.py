@@ -20,6 +20,7 @@ from cubecover.coverage import (
 )
 from cubecover.estimates import CoverageEstimate
 from cubecover.geometry import min_squared_distances, unit_ball_volume
+from cubecover.intersect import mc_intersection_oracle
 from cubecover.sampling import Design, SamplingScheme, TargetPrior, sample_design, sample_targets
 from cubecover.streams import SeededStream
 
@@ -79,7 +80,6 @@ class TestDesignAveraged:
         q = uniform_query(1, 0.25, 1)
         est = coverage_design_averaged(q, 400, 250, SeededStream(7))
         assert abs(est.value - 7.0 / 16.0) <= 3 * est.std_error
-        assert est.method == "design_averaged"
 
     def test_zero_radius(self):
         q = uniform_query(4, 0.0, 10)
@@ -120,10 +120,10 @@ class TestProductForm:
         with pytest.raises(ValueError):
             coverage_product_form(uniform_query(2, 0.3, 5), 100, 0, SeededStream(15))
 
-    def test_edgeworth_order_outside_range_rejected(self):
-        with pytest.raises(ValueError, match="orders are 0..2"):
-            coverage_product_form(uniform_query(3, 0.4, 10), 50, 1, SeededStream(15),
-                                  method="edgeworth", order=-1)
+    def test_clt_method_rejected(self):
+        # the plain CLT route is ball_probability_batch at order 0, not a method here
+        with pytest.raises(ValueError, match="unknown method 'clt'"):
+            coverage_product_form(uniform_query(3, 0.4, 10), 50, 1, SeededStream(15), method="clt")
 
     def test_routes_agree_at_small_n(self):
         # (1-p)^n amplifies inner-probability error by n(1-p)^{n-1}, so the
@@ -190,10 +190,11 @@ class TestJensenBounds:
         assert jensen_bound_center(q) == pytest.approx(1.0, abs=1e-9)
 
     def test_mc_route(self):
+        # the bound with its inner probability from the Monte Carlo oracle
         q = uniform_query(6, 0.6, 500)
-        auto = jensen_bound_center(q)
-        mc = jensen_bound_center(q, method="mc", n_samples=400_000, stream=SeededStream(19))
-        assert abs(auto - mc) < 0.02
+        p = mc_intersection_oracle(np.full(6, 0.5), 1.0, 1.0, 0.6, 400_000, SeededStream(19)).value
+        mc = -math.expm1(500 * math.log1p(-p))
+        assert abs(jensen_bound_center(q) - mc) < 0.02
 
     def test_alpha_one_beta_laws_are_uniform(self):
         q = CoverageQuery(4, 0.6, 10, SamplingScheme.beta(4, 1.0, 0.9), TargetPrior.product_beta(4, 1.0))
@@ -267,9 +268,9 @@ class TestProductFormApproximation:
 class TestRecords:
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
-            CoverageEstimate(1.2, 0.0, 10)
+            CoverageEstimate(1.2, 0.0)
         with pytest.raises(ValueError):
-            CoverageEstimate(0.5, -0.1, 10)
+            CoverageEstimate(0.5, -0.1)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):

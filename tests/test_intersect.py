@@ -21,7 +21,6 @@ from cubecover.intersect import (
     edgeworth_probability,
     kappa_density_sample,
     mc_intersection_oracle,
-    sum_moments,
 )
 from cubecover.sampling import draw_delta_cube
 from cubecover.streams import SeededStream
@@ -110,25 +109,27 @@ class TestCoordinateCumulants:
 
 
 class TestSumMoments:
+    """Moments of ||U - X||^2: per-coordinate cumulants summed over coordinates."""
+
     def test_center_d10(self):
-        ms = sum_moments(np.full(10, 0.5), 1.0)
-        assert ms.mean == pytest.approx(10.0 / 12.0, rel=1e-13)
-        assert ms.variance == pytest.approx(10.0 / 180.0, rel=1e-13)
+        mean, var = coordinate_cumulants(np.full(10, 0.5), 1.0).sum(axis=0)[:2]
+        assert mean == pytest.approx(10.0 / 12.0, rel=1e-13)
+        assert var == pytest.approx(10.0 / 180.0, rel=1e-13)
 
     def test_three_quarters_d20(self):
-        ms = sum_moments(np.full(20, 0.75), 1.0)
-        assert ms.mean == pytest.approx(20 * 0.1458333333, rel=1e-9)
+        mean = coordinate_cumulants(np.full(20, 0.75), 1.0).sum(axis=0)[0]
+        assert mean == pytest.approx(20 * 0.1458333333, rel=1e-9)
 
     def test_mean_identity_for_uniform(self):
         rng = np.random.default_rng(0)
         u = rng.random(7)
-        ms = sum_moments(u, 0.6)
+        mean = coordinate_cumulants(u, 0.6).sum(axis=0)[0]
         expected = float(((u - 0.5) ** 2).sum()) + 7 * 0.36 / 12.0
-        assert ms.mean == pytest.approx(expected, rel=1e-12)
+        assert mean == pytest.approx(expected, rel=1e-12)
 
     def test_arcsine_alpha_half(self):
-        ms = sum_moments(np.array([0.5]), 1.0, alpha=0.5)
-        assert ms.mean == pytest.approx(1.0 / 8.0, rel=1e-10)
+        mean = coordinate_cumulants(np.array([0.5]), 1.0, alpha=0.5).sum(axis=0)[0]
+        assert mean == pytest.approx(1.0 / 8.0, rel=1e-10)
 
 
 class TestEdgeworthTerms:
@@ -153,9 +154,9 @@ class TestEdgeworthTerms:
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_reference(self, alpha, order):
         u = np.random.default_rng(11).random(10)
-        ms = sum_moments(u, 0.7, alpha)
+        mean, var = coordinate_cumulants(u, 0.7, alpha).sum(axis=0)[:2]
         for s in (-1.6, -0.7, 0.4, 1.3):
-            r = math.sqrt(ms.mean + s * ms.std)
+            r = math.sqrt(mean + s * math.sqrt(var))
             ref = self.reference(u, 0.7, alpha, r, order)
             # the term of this order is well above the tolerance
             assert abs(ref - self.reference(u, 0.7, alpha, r, order - 1)) > 1e-5
@@ -165,7 +166,7 @@ class TestEdgeworthTerms:
 class TestCltProbability:
     def test_half_at_mean(self):
         u = np.full(10, 0.5)
-        mu = sum_moments(u, 1.0).mean
+        mu = coordinate_cumulants(u, 1.0).sum(axis=0)[0]
         assert clt_probability(u, 1.0, 1.0, math.sqrt(mu)) == pytest.approx(0.5, abs=1e-12)
 
     def test_lower_tail_shrinks_with_dimension(self):
@@ -190,9 +191,9 @@ class TestEdgeworth:
     def test_correction_vanishes_at_unit_t(self):
         # He_2(+-1) = 0, so the order-1 value equals Phi(+-1) exactly
         u = np.full(12, 0.5)
-        ms = sum_moments(u, 1.0)
+        mean, var = coordinate_cumulants(u, 1.0).sum(axis=0)[:2]
         for sign in (+1.0, -1.0):
-            r = math.sqrt(ms.mean + sign * ms.std)
+            r = math.sqrt(mean + sign * math.sqrt(var))
             got = edgeworth_probability(u, 1.0, 1.0, r, order=1)
             assert got == pytest.approx(norm.cdf(sign), abs=1e-12)
 
@@ -252,8 +253,6 @@ class TestBallProbabilityBatch:
     def test_order_outside_range_rejected(self, order):
         with pytest.raises(ValueError, match="orders are 0..2"):
             ball_probability_batch(np.full((2, 3), 0.4), 1.0, 1.0, 0.5, order=order)
-        with pytest.raises(ValueError, match="orders are 0..2"):
-            ball_probability(np.full(3, 0.4), 1.0, 1.0, 0.5, method="edgeworth", order=order)
 
 
 class TestMcOracle:
@@ -350,17 +349,23 @@ class TestExactPaths:
     def test_ball_inside_cube_is_exact(self):
         d, r = 10, 0.5
         expected = r**d * unit_ball_volume(d)
-        got = ball_probability(np.full(d, 0.5), 1.0, 1.0, r, method="auto")
+        got = ball_probability(np.full(d, 0.5), 1.0, 1.0, r)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_ball_swallows_cube(self):
-        assert ball_probability(np.full(3, 0.5), 1.0, 1.0, 2.0, method="auto") == 1.0
+        assert ball_probability(np.full(3, 0.5), 1.0, 1.0, 2.0) == 1.0
 
     def test_delta_rescaling(self):
         d, delta, r = 6, 0.5, 0.2
         expected = r**d * unit_ball_volume(d) / delta**d
-        got = ball_probability(np.full(d, 0.5), delta, 1.0, r, method="auto")
+        got = ball_probability(np.full(d, 0.5), delta, 1.0, r)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("u, alpha, r", [(0.6, 1.0, 0.8), (0.5, 0.5, 0.2)],
+                             ids=["ball-leaves-cube", "inside-but-beta-law"])
+    def test_edgeworth_order_one_elsewhere(self, u, alpha, r):
+        point = np.full(6, u)
+        assert ball_probability(point, 1.0, alpha, r) == edgeworth_probability(point, 1.0, alpha, r)
 
 
 class TestKappa:
