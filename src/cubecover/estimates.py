@@ -14,15 +14,10 @@ def binomial_std_error(p: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class CoverageEstimate:
-    """An estimated probability with its standard error.
-
-    ``bias_flagged`` marks product-form estimates whose inner Monte Carlo
-    noise makes the (1-p)^n plug-in visibly biased.
-    """
+    """An estimated probability with its standard error."""
 
     value: float
     std_error: float
-    bias_flagged: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:

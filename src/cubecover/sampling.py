@@ -21,9 +21,8 @@ from .sobol import sobol_points
 from .streams import SeededStream
 
 # Largest float64 block of i.i.d. draws that a Monte Carlo loop holds at once:
-# the inner draws of the product form, the ball-probability oracle and the
-# paired (target, point) sample.  Their peak memory is set by this, not by the
-# number of draws.
+# the ball-probability oracle and the paired (target, point) sample.  Their
+# peak memory is set by this, not by the number of draws.
 _MC_BLOCK_BYTES = 16 << 20
 
 # Float64 piece of a row source: the distance kernels round each piece into

@@ -235,7 +235,7 @@ class TestCriterion8Determinism:
 class TestCriterion9OracleEquivalence:
     @pytest.mark.slow
     def test_three_estimators_agree_at_n1(self):
-        from cubecover.coverage import coverage_design_averaged, coverage_product_form
+        from cubecover.coverage import coverage_design_averaged, product_form_approximation
 
         rng_stream = SeededStream(1009, 1)
         all_ok = True
@@ -257,7 +257,7 @@ class TestCriterion9OracleEquivalence:
             per = (replicate <= r * r).mean(axis=1)
             cond_mean, cond_se = float(per.mean()), float(per.std(ddof=1) / math.sqrt(per.size))
             avg = coverage_design_averaged(q, 300, 100, rng_stream.child(400 + k))
-            pf = coverage_product_form(q, 30_000, 1, rng_stream.child(500 + k), method="mc")
+            pf = product_form_approximation(q, 30_000, rng_stream.child(500 + k))
             for a_val, a_se, b_val, b_se in (
                 (cond_mean, cond_se, avg.value, avg.std_error),
                 (cond_mean, cond_se, pf.value, pf.std_error),

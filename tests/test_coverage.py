@@ -7,7 +7,6 @@ import pytest
 import cubecover.sampling as sampling_module
 from cubecover.coverage import (
     CoverageQuery,
-    _inner_mc_probabilities,
     _paired_distance_sample,
     _product_form_estimate,
     coverage_design_averaged,
@@ -105,63 +104,34 @@ class TestDesignAveraged:
 
 class TestProductForm:
     def test_single_point_reduces_to_mean_probability(self):
+        # at n = 1 the product form is p_bar, the hit rate of independent
+        # (target, point) pairs; Edgeworth order 1 is too rough at d = 2
         q = uniform_query(2, 0.3, 1)
-        pf = coverage_product_form(q, 30_000, 1, SeededStream(12))
+        pf = product_form_approximation(q, 30_000, SeededStream(12))
         da = coverage_design_averaged(q, 300, 100, SeededStream(13))
         assert abs(pf.value - da.value) <= 3 * joint_se(pf, da)
 
     def test_saturated_region(self):
         d = 3
         q = uniform_query(d, math.sqrt(d) + 0.1, 5)
-        pf = coverage_product_form(q, 2000, 50, SeededStream(14))
+        pf = coverage_product_form(q, 2000, SeededStream(14))
         assert pf.value == 1.0
 
-    def test_inner_zero_rejected(self):
-        with pytest.raises(ValueError):
-            coverage_product_form(uniform_query(2, 0.3, 5), 100, 0, SeededStream(15))
-
-    def test_clt_method_rejected(self):
-        # the plain CLT route is ball_probability_batch at order 0, not a method here
-        with pytest.raises(ValueError, match="unknown method 'clt'"):
-            coverage_product_form(uniform_query(3, 0.4, 10), 50, 1, SeededStream(15), method="clt")
-
     def test_routes_agree_at_small_n(self):
-        # (1-p)^n amplifies inner-probability error by n(1-p)^{n-1}, so the
-        # analytic and inner-MC routes are comparable only for moderate n
+        # (1-p)^n amplifies the error of p by n(1-p)^{n-1}, so the Edgeworth
+        # route tracks the design average only for moderate n
         q = uniform_query(8, 0.9, 5)
-        an = coverage_product_form(q, 30_000, 1, SeededStream(16), method="edgeworth")
-        mc = coverage_product_form(q, 30_000, 2000, SeededStream(17), method="mc")
+        an = coverage_product_form(q, 30_000, SeededStream(16))
         da = coverage_design_averaged(q, 200, 300, SeededStream(30))
         assert abs(an.value - da.value) <= 0.01 + 3 * joint_se(an, da)
-        assert abs(mc.value - da.value) <= 0.01 + 3 * joint_se(mc, da)
 
-    def test_bias_flag_raised_for_noisy_inner(self):
-        q = uniform_query(5, 0.45, 5000)
-        pf = coverage_product_form(q, 500, 50, SeededStream(18), method="mc")
-        assert pf.bias_flagged
-
-    def test_inner_mc_memory_set_by_budget(self):
-        # 128 targets x 2000 inner draws x 50 coordinates make a 102 MB
-        # float64 block; drawn in sub-batches, the peak stays near the budget
-        d, inner = 50, 2000
-        targets = np.random.default_rng(31).random((128, d))
-        tracemalloc.start()
-        try:
-            _inner_mc_probabilities(targets, 1.0, 1.0, 2.0, inner, SeededStream(32))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * sampling_module._MC_BLOCK_BYTES
-
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
-    def test_inner_mc_sub_batches_do_not_change_probabilities(self, monkeypatch, alpha):
-        inner, d = 500, 6
-        targets = np.random.default_rng(33).random((300, d))
-        args = (targets, 0.8, alpha, 0.7, inner, SeededStream(34))
-        monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 1 << 40)  # one draw per chunk
-        whole = _inner_mc_probabilities(*args)
-        monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 7 * inner * d * 8)  # 7 targets
-        assert np.array_equal(_inner_mc_probabilities(*args), whole)
+    @pytest.mark.parametrize("estimate", [coverage_product_form, product_form_approximation])
+    @pytest.mark.parametrize("scheme", [SamplingScheme.sobol(4), SamplingScheme.vertex(4)],
+                             ids=["sobol", "vertex"])
+    def test_needs_iid_scheme(self, estimate, scheme):
+        q = CoverageQuery(4, 0.5, 10, scheme, TargetPrior.uniform(4))
+        with pytest.raises(ValueError, match="needs an i.i.d. scheme"):
+            estimate(q, 100, SeededStream(15))
 
 
 class TestJensenBounds:
@@ -239,12 +209,12 @@ class TestProductFormApproximation:
 
     @pytest.mark.parametrize("alphas", [(1.0, 1.0), (0.5, 2.0)])
     def test_blocks_do_not_change_the_sample(self, monkeypatch, alphas):
-        d, inner = 7, 5000
+        d, n_pairs = 7, 5000
         q = CoverageQuery(d, 0.5, 10, SamplingScheme.beta(d, alphas[0], 0.8), TargetPrior(d, alphas[1]))
         monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 1 << 40)  # one block
-        whole = _paired_distance_sample(q, inner, SeededStream(28))
+        whole = _paired_distance_sample(q, n_pairs, SeededStream(28))
         monkeypatch.setattr(sampling_module, "_MC_BLOCK_BYTES", 2 * 8 * d * 333)  # 333 pairs
-        assert np.array_equal(_paired_distance_sample(q, inner, SeededStream(28)), whole)
+        assert np.array_equal(_paired_distance_sample(q, n_pairs, SeededStream(28)), whole)
 
     def test_paired_sample_memory_set_by_budget(self):
         # two 1e5 x 50 float64 arrays would take 80 MB
