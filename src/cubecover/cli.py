@@ -100,8 +100,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",")]
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(tok) for tok in text.split(",")]
 
 
 def _cube_coordinates(text: str) -> list[float]:
@@ -154,11 +154,12 @@ def _delta_grid(text: str) -> list[float]:
 # Each field's one conversion from text, shared by flags and config values;
 # defaults live in _COMMANDS because some differ by command.
 _FIELDS = {
-    "dim": int, "dims": _int_list, "n": int, "r": _number, "r_grid": _parse_grid,
-    "delta": _delta, "delta_grid": _delta_grid, "alpha": _number, "gamma": _gamma,
-    "scheme": str, "prior": str, "targets": int, "inner": int, "designs": int,
-    "cells": str, "cap": _positive_int, "bins": int, "u": _cube_coordinates, "bounds": _bool,
-    "hamming_nmax": int, "sweep_targets": int,
+    "dim": _positive_int, "dims": _positive_ints, "n": _positive_int, "r": _number,
+    "r_grid": _parse_grid, "delta": _delta, "delta_grid": _delta_grid, "alpha": _number,
+    "gamma": _gamma, "scheme": str, "prior": str, "targets": _positive_int,
+    "inner": _positive_int, "designs": _positive_int, "cells": str, "cap": _positive_int,
+    "bins": _positive_int, "u": _cube_coordinates, "bounds": _bool,
+    "hamming_nmax": _positive_int, "sweep_targets": _positive_int,
     "seed": int, "threads": _positive_int, "out": str, "config": str,
 }
 _CHOICES = {"scheme": ("uniform", "beta", "sobol", "vertex"), "prior": ("uniform", "beta")}
@@ -295,9 +296,12 @@ def cmd_coverage(p: argparse.Namespace) -> tuple[list[str], list[list]]:
     r_values = _r_grid(p)
     scheme = _scheme(p, d)
     query = CoverageQuery(d, max(r_values), n, scheme, _prior(p, d))
+    # a Sobol or vertex run scores its one design, not an average over design draws
+    if p.designs is not None and not scheme.is_iid:
+        raise CliError(f"--designs is read only by i.i.d. schemes, not by --scheme {p.scheme}")
+    designs = (2 if scheme.is_iid else 1) if p.designs is None else p.designs
     stream = SeededStream(p.seed)
-    # a Sobol or vertex run scores one design, not an average over design draws
-    d2 = nearest_distance_sample(query, p.designs if scheme.is_iid else 1, p.targets, stream,
+    d2 = nearest_distance_sample(query, designs, p.targets, stream,
                                  threads=p.threads, settle_radius=min(r_values))
     method = "design_averaged" if scheme.is_iid else "design_conditional"
     if p.bounds:
@@ -338,6 +342,8 @@ def cmd_table1(p: argparse.Namespace) -> tuple[list[str], list[list]]:
             cells.append((int(d_s), int(n_s)))
         except ValueError as exc:
             raise CliError(f"--cells entries must look like d:n, got {tok!r}") from exc
+        if min(cells[-1]) < 1:
+            raise CliError(f"--cells: d and n must be >= 1, got {tok!r}")
 
     columns = ["d", "n", "gamma", "r_full_cube", "r_delta_cube", "delta_star", "warning"]
     rows = []
@@ -479,7 +485,7 @@ _DELTAS = tuple(default_delta_grid(0.05))
 _COMMANDS = {
     "coverage": (cmd_coverage, {
         "dim": _REQUIRED, "n": _REQUIRED, "r": None, "r_grid": None, **_SCHEME,
-        "prior": "uniform", "targets": 20_000, "designs": 2, "bounds": False, "threads": 1}),
+        "prior": "uniform", "targets": 20_000, "designs": None, "bounds": False, "threads": 1}),
     "table1": (cmd_table1, {
         "gamma": 0.1, "cells": "10:1000,20:10000,50:100000", "targets": 20_000, "designs": 2,
         "sweep_targets": None, "delta_grid": _DELTAS, "threads": 1}),

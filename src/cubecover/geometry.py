@@ -43,14 +43,28 @@ _KDTREE_SETTLE_EPS = 1.0
 _ROW_CHUNK = 8192
 
 # Tile shape of both BLAS entry points: blocks of _TARGET_CHUNK targets
-# against _POINT_CHUNK points, a float32 tile of 8 MB.  With 4096 points in
-# first_hit_index, its tiles set the peak memory of
+# against _POINT_CHUNK points.  At K = d + 1 > _PANEL_MAX_K a block is
+# multiplied whole, a float32 tile of 8 MB; at K <= _PANEL_MAX_K in row panels
+# of _PANEL_ROWS, a tile of 2 MB.  With 4096 points in first_hit_index, its
+# tiles set the peak memory of
 # `ngamma --dim 50 --r-grid 2.0,2.1,2.3 --targets 5000 --threads 2`:
 # 111.6 MB median ru_maxrss against 79.6 MB at 2048, with the same output
 # (2-core Xeon, OpenBLAS at one thread).  _POINT_CHUNK is a multiple of 4, so
 # every stage of whole tiles starts at a row a row source can start from.
 _TARGET_CHUNK = 1024
 _POINT_CHUNK = 2048
+
+# Row panels of a block's product at K <= _PANEL_MAX_K: each panel's tile,
+# 256 x 2048 float32 (2 MB, a core's L2 on the 2-core Xeon), is visited before
+# the next panel is multiplied.  At low K the GEMM is bound by writing the
+# tile, so the extra packing of the point block per panel is cheap.  One call
+# of min_squared_distances, 4096 targets against 20000 i.i.d. rows settled at
+# the 80% quantile on 2 threads, took 0.927 times the whole-block CPU at
+# d = 20, 0.986 at d = 30 and 0.995 at d = 40, but 1.037 at d = 50 (medians
+# of 16 alternating pairs, OpenBLAS 0.3.31 at one thread); so larger K keeps
+# whole-block tiles.
+_PANEL_ROWS = 256
+_PANEL_MAX_K = 32
 
 
 def __getattr__(name: str):
@@ -172,19 +186,27 @@ def _blocked_rows(rows: int, w: int, k: int) -> int:
     return rows
 
 
+def _panels(rows: int, w: int, k: int, panel: int) -> list[tuple[int, int, int]]:
+    """``(a, b, size)`` for each row panel of a block's ``rows`` live rows
+    against ``w`` points: rows a..b-1, multiplied as ``size`` rows from row a."""
+    spans = [(a, min(a + panel, rows)) for a in range(0, rows, panel)]
+    return [(a, b, _blocked_rows(b - a, w, k)) for a, b in spans]
+
+
 class _Walk:
     """One target block's walk over the point tiles, resumed stage by stage.
 
     ``t`` holds the block's augmented targets [u', 1] and ``visit`` is as in
     :meth:`_CentredExpansion.sweep`; ``widths`` are the tile widths the walk
-    will meet.  ``n_live`` counts the targets still active.
+    will meet and ``panel`` the rows of one product.  ``n_live`` counts the
+    targets still active.
     """
 
-    def __init__(self, t: np.ndarray, visit, widths: set[int]):
+    def __init__(self, t: np.ndarray, visit, widths: set[int], panel: int):
         m, k = t.shape
-        self.t, self.visit = t, visit
-        # the most rows a tile takes: _blocked_rows never falls as rows grow
-        self.n_rows = max(_blocked_rows(m, w, k) for w in widths)
+        self.t, self.visit, self.panel = t, visit, panel
+        # the most rows the panels of a tile reach: that never falls as rows grow
+        self.n_rows = max(a + size for w in widths for a, _, size in _panels(m, w, k, panel))
         self.live = np.ones(m, dtype=bool)
         self.n_live = m
         self.sub = None  # live rows of t in order, then padding; None until rebuilt
@@ -197,21 +219,27 @@ class _Walk:
         buf = tile_buffer()
         for j, stop, points in tiles:
             w = points.shape[0]
-            size = _blocked_rows(self.n_live, w, k)
-            if self.sub is None or self.sub.shape[0] != size:
+            panels = _panels(self.n_live, w, k, self.panel)
+            reach = max(a + size for a, _, size in panels)
+            if self.sub is None or self.sub.shape[0] != reach:
                 # compacted rows go to a fresh array of one fixed shape; one
                 # kept for the whole sweep left table1's peak memory 8 MB
                 # higher at most seeds
-                self.order = np.argsort(~self.live, kind="stable")[:size]
+                self.order = np.argsort(~self.live, kind="stable")[:reach]
                 packed = np.empty((self.n_rows, k), dtype=np.float32)
                 packed[m:] = 0.0
                 packed[m:, -1] = 1.0
                 np.take(self.t, self.order, axis=0, out=packed[:self.order.size])
-                self.sub = packed[:size]
+                self.sub = packed[:reach]
             rows = self.order[:self.n_live]
-            tile = buf[:size * w].reshape(size, w)
-            np.matmul(self.sub, points.T, out=tile)
-            done = self.visit(j, rows, tile[:self.n_live, :stop - j])
+            # each panel's tile is visited before the next panel overwrites it;
+            # the block compacts only after its last panel
+            done = []
+            for a, b, size in panels:
+                tile = buf[:size * w].reshape(size, w)
+                np.matmul(self.sub[a:a + size], points.T, out=tile)
+                done.append(self.visit(j, rows[a:b], tile[:b - a, :stop - j]))
+            done = np.concatenate(done)
             if done.any():
                 self.live[rows[done]] = False
                 self.n_live -= int(np.count_nonzero(done))
@@ -238,7 +266,9 @@ class _CentredExpansion:
     :func:`_as_points`) yields for them, each rounded into float32 before the
     next is drawn, so a row source is never held whole in float64.  Peak
     memory is two stage buffers, one tile and one float64 piece per worker,
-    whatever ``n``.
+    whatever ``n``.  A tile is ``_TARGET_CHUNK`` by ``_POINT_CHUNK`` (8 MB)
+    at K = d + 1 > ``_PANEL_MAX_K`` (32), and one ``_PANEL_ROWS`` by
+    ``_POINT_CHUNK`` panel (2 MB) at K <= 32: see :meth:`sweep`.
 
     Centring halves each coordinate's magnitude, and the rounding error of the
     expansion is of order eps32 * d * (||u'||^2 + ||x'||^2) (Higham, Accuracy
@@ -316,8 +346,12 @@ class _CentredExpansion:
         its tiles.  A block walks its tiles in order, so the schedule never
         changes what a visit sees.
 
-        Each tile is one product of the active rows of the block, padded with
-        finished rows and then inert rows [0...0, 1] to the row count of
+        Each tile is one product of the active rows of the block, in order.
+        At K = d + 1 <= ``_PANEL_MAX_K`` it is multiplied and visited in row
+        panels of ``_PANEL_ROWS`` active rows, one panel after the other, and
+        at larger K as one panel; the block drops its finished rows after its
+        last panel.  Each panel's product is padded with the rows after it
+        (active, finished, then inert rows [0...0, 1]) to the row count of
         :func:`_blocked_rows`; a lone last point is multiplied together with
         the inert point row [0...0, +inf], whose column is not passed on.
         BLAS sends one-row or one-column products to gemv and small products
@@ -325,21 +359,24 @@ class _CentredExpansion:
         blocked GEMM, which gives a row the same bits whichever rows share its
         product.  So a target's tile is bit for bit the one it gets in a full
         block with no row dropped out, whatever the shape of its own block, of
-        the last point chunk or of the stages.
+        its panels, of the last point chunk or of the stages.
         """
         n, pc = self.n, _POINT_CHUNK
         # a lone point takes the inert row along
         widths = {max(min(j + pc, n) - j, 2) for j in range(0, n, pc)}
+        # a whole block is one panel at larger K
+        panel = _PANEL_ROWS if self.k <= _PANEL_MAX_K else _TARGET_CHUNK
         walks = []
         for a in range(0, targets.shape[0], _TARGET_CHUNK):
             t, tnorm = self.targets(targets[a:a + _TARGET_CHUNK])
-            walks.append(_Walk(t, start(tnorm), widths))
+            walks.append(_Walk(t, start(tnorm), widths, panel))
         if not walks:
             return
-        # one buffer per worker for all its tiles, sized for the first block,
-        # the largest: tiles allocated afresh left about 8 MB more resident
-        # at d = 50, n = 1e5
-        size = max(_blocked_rows(walks[0].t.shape[0], w, self.k) * w for w in widths)
+        # one buffer per worker for all its tiles, sized for a full panel of
+        # the first block, the largest: tiles allocated afresh left about 8 MB
+        # more resident at d = 50, n = 1e5
+        rows = min(panel, walks[0].t.shape[0])
+        size = max(_blocked_rows(rows, w, self.k) * w for w in widths)
         tile_buffers: dict[int, np.ndarray] = {}
 
         def tile_buffer() -> np.ndarray:
@@ -391,9 +428,10 @@ def min_squared_distances(
         points, about 8192 rows per thread, taken from a row source in
         float64 pieces of about 512 KB.  It holds two stages of float32 rows,
         ``4 (d + 1)`` bytes a row, so its memory does not grow with ``n``, and
-        each worker holds one float32 tile of ``_TARGET_CHUNK`` (1024)
-        targets, plus padding, by ``_POINT_CHUNK`` points, 8 MB.  The KD-tree
-        engine builds the float64 array once.
+        each worker holds one float32 tile of ``_POINT_CHUNK`` points by, at
+        d + 1 > 32, ``_TARGET_CHUNK`` (1024) targets plus padding, 8 MB, and
+        at d + 1 <= 32, a panel of ``_PANEL_ROWS`` (256) targets plus
+        padding, 2 MB.  The KD-tree engine builds the float64 array once.
     threads : worker threads over point stages and target chunks; does not
         affect the result.
     engine : "auto", "kdtree" or "blas".  The BLAS engine expands
@@ -493,8 +531,9 @@ def first_hit_index(
     ``targets`` must be finite, and ``points`` is an ``(n, d)`` array or a
     row source, read one stage at a time as in ``min_squared_distances``;
     once every target is hit, no further stage is read.  Each worker holds
-    one float32 tile of ``_TARGET_CHUNK`` targets (plus padding) by
-    ``_POINT_CHUNK`` points, 8 MB, as in ``min_squared_distances``.
+    one float32 tile of ``_POINT_CHUNK`` points by ``_TARGET_CHUNK`` targets
+    (plus padding), 8 MB, at d + 1 > 32, and by ``_PANEL_ROWS`` targets
+    (plus padding), 2 MB, at d + 1 <= 32, as in ``min_squared_distances``.
     """
     pieces, (n, d), _ = _as_points(points)
     if n == 0:

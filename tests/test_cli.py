@@ -113,6 +113,22 @@ class TestCoverageCommand:
         header = out.read_text().splitlines()[1].split(",")
         assert header[-3:] == ["jensen_center", "jensen_refined", "product_form_approx"]
 
+    @pytest.mark.parametrize("scheme", ["sobol", "vertex"])
+    def test_designs_rejected_for_one_design_schemes(self, tmp_path, capsys, scheme):
+        # a Sobol or vertex run scores its one design, so --designs goes unread
+        args = ("coverage", "--dim", "3", "--n", "4", "--r", "0.3", "--scheme", scheme,
+                "--targets", "1000", "--seed", "1")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("designs = 5\n")
+        for extra in (("--designs", "5"), ("--designs", "1"), ("--config", str(cfg))):
+            code, out = run(tmp_path, "c.csv", *args, *extra)
+            assert code == 2
+            assert capsys.readouterr().err == (f"cubecover coverage: error: --designs is read "
+                                               f"only by i.i.d. schemes, not by --scheme {scheme}\n")
+            assert not out.exists()
+        code, _ = run(tmp_path, "c.csv", *args)
+        assert code == 0
+
     @pytest.mark.parametrize("law", [("--scheme", "beta", "--alpha", "1"),
                                      ("--prior", "beta", "--alpha", "1")],
                              ids=["beta-scheme", "beta-prior"])
@@ -218,7 +234,7 @@ class TestValidation:
         ("uniform", "5", "--hamming-nmax"),
         ("sobol", "5", "--hamming-nmax"),
         ("beta", "5", "--hamming-nmax"),
-        ("vertex", "0", "n_max"),
+        ("vertex", "0", "--hamming-nmax: must be >= 1"),
     ], ids=["uniform", "sobol", "beta", "vertex-zero"])
     def test_unread_or_bad_hamming_nmax_exits_2(self, tmp_path, capsys, scheme, nmax, message):
         code, out = run(tmp_path, "o.csv", "design", "--dim", "3", "--scheme", scheme,
@@ -312,7 +328,7 @@ class TestValidation:
         code, out = run(tmp_path, "o.csv", "ngamma", "--dim", "20", "--r-grid", "1.0",
                         "--designs", "0", "--targets", "200", "--seed", "1")
         assert code == 2
-        assert "n_designs must be >= 1" in capsys.readouterr().err
+        assert "--designs: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args, flag", [
@@ -324,6 +340,28 @@ class TestValidation:
         (["intersect", "--dim", "3", "--u", "0.2,1.5,0.9", "--r", "0.5"], "--u: must lie in [0, 1]"),
     ])
     def test_bad_list_field_named(self, tmp_path, capsys, args, flag):
+        code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, flag", [
+        (["table1", "--cells", "3:100", "--targets", "0"], "--targets: must be >= 1"),
+        (["kappa", "--dim", "3", "--r", "0.5", "--bins", "0"], "--bins: must be >= 1"),
+        (["coverage", "--dim", "0", "--n", "10", "--r", "0.3"], "--dim: must be >= 1"),
+        (["coverage", "--dim", "3", "--n", "-1", "--r", "0.3"], "--n: must be >= 1"),
+        (["radius", "--dim", "3", "--n", "10", "--designs", "0"], "--designs: must be >= 1"),
+        (["kappa", "--dim", "3", "--r", "0.5", "--inner", "0"], "--inner: must be >= 1"),
+        (["table1", "--cells", "3:100", "--sweep-targets", "0"],
+         "--sweep-targets: must be >= 1"),
+        (["design", "--dim", "3", "--scheme", "vertex", "--hamming-nmax", "-2"],
+         "--hamming-nmax: must be >= 1"),
+        (["sobol-compare", "--dims", "5,0"], "--dims: must be >= 1"),
+        (["table1", "--cells", "3:0"], "--cells: d and n must be >= 1, got '3:0'"),
+        (["table1", "--cells", "3:100,0:100"], "--cells: d and n must be >= 1, got '0:100'"),
+    ], ids=["targets", "bins", "dim", "n", "designs", "inner", "sweep-targets",
+            "hamming-nmax", "dims", "cells-n", "cells-d"])
+    def test_count_below_one_named(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, "o.csv", *args, "--seed", "1")
         assert code == 2
         assert flag in capsys.readouterr().err

@@ -516,6 +516,24 @@ class TestStages:
         tile = 64 * geometry_module._POINT_CHUNK * 4
         assert peak(200_000) < stages + tile + 2**21
 
+    def test_peak_memory_holds_one_panel_at_low_k(self):
+        # at d = 20 a full block of 1024 targets is multiplied in 256-row
+        # panels, so a thread holds one 2 MB panel tile, not an 8 MB block tile
+        d, n = 20, 40_000
+        targets = np.random.default_rng(37).random((1024, d))
+        rows = IidRows(SamplingScheme.uniform(d), SeededStream(38), 0, n)
+        tracemalloc.start()
+        try:
+            min_squared_distances(targets, rows, engine="blas")
+            assert np.all(first_hit_index(targets, rows, 0.5) == n + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stages = 2 * (geometry_module._ROW_CHUNK + 1) * 4 * (d + 1)
+        tile = geometry_module._PANEL_ROWS * geometry_module._POINT_CHUNK * 4
+        piece = 2**19  # a float64 piece of a row source
+        assert peak < stages + tile + piece + 2**20
+
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
     def test_pieces_fill_the_whole_array_rows(self, monkeypatch, alpha):
         # 5000 rows are three whole pieces of 1310 rows at d = 50 and a short
@@ -613,18 +631,26 @@ class TestBlockShapeBits:
     (n = 2049) get the values they get inside a full block."""
 
     @staticmethod
-    def _tiles(points, t):
-        # every tile of the (never finished) rows of targets t, as one block
+    def _sweep(points, t, done):
+        # (rows, tile) of every point offset of targets t, as one block, with
+        # the visits of its row panels stacked in row order; done(rows) is the
+        # visit's mask of finished rows
         read, shape, _ = geometry_module._as_points(points)
         ex = geometry_module._CentredExpansion(read, shape, 1)
-        got = []
+        got = {}
 
         def visit(j, rows, tile):
-            got.append(tile.copy())
-            return np.zeros(rows.size, dtype=bool)
+            got.setdefault(j, []).append((rows.copy(), tile.copy()))
+            return done(rows)
 
         ex.sweep(t, lambda tnorm: visit)
-        return got
+        return [(np.concatenate([rows for rows, _ in panels]),
+                 np.vstack([tile for _, tile in panels])) for panels in got.values()]
+
+    @classmethod
+    def _tiles(cls, points, t):
+        # every tile of the (never finished) rows of targets t, as one block
+        return [tile for _, tile in cls._sweep(points, t, lambda rows: np.zeros(rows.size, bool))]
 
     @pytest.mark.parametrize("d", [3, 12, 50])
     def test_lone_row_and_lone_point_tiles(self, d):
@@ -670,19 +696,45 @@ class TestBlockShapeBits:
         rng = np.random.default_rng(85 + rows)
         targets, points = rng.random((1024, d)), rng.random((4096, d))
         full = self._tiles(points, targets)
-        read, shape, _ = geometry_module._as_points(points)
-        ex = geometry_module._CentredExpansion(read, shape, 1)
         kept = np.arange(3, 1024, 1024 // rows)[:rows]
-        got = []
-
-        def visit(j, live, tile):
-            got.append((live.copy(), tile.copy()))
-            return ~np.isin(live, kept)
-
-        ex.sweep(targets, lambda tnorm: visit)
+        got = self._sweep(points, targets, lambda live: ~np.isin(live, kept))
         live, tile = got[1]
         assert np.array_equal(live, kept)
         assert np.array_equal(tile, full[1][kept])
+
+    @pytest.mark.parametrize("d", [12, 20])
+    @pytest.mark.parametrize("left", [257, 264, 272, 288])
+    def test_panel_rows_do_not_change_results(self, monkeypatch, d, left):
+        # the other targets of the block sit on points of the first chunk, so
+        # `left` of them are live at the second chunk: with 64- or 256-row
+        # panels its last panel has 1, 8, 16 or 32 live rows; four of those
+        # sit on points of the second chunk, and no other target is within r
+        rng = np.random.default_rng(100 + left)
+        points, targets = rng.random((4096, d)), rng.random((1024, d))
+        order = rng.permutation(1024)
+        targets[order[left:]] = points[rng.choice(2048, 1024 - left)]
+        targets[order[:4]] = points[2048 + rng.choice(2048, 4)]
+        r = 0.05
+        settle = float(np.quantile(min_squared_distances(targets, points, engine="blas"), 0.8))
+
+        def results(panel_rows):
+            monkeypatch.setattr(geometry_module, "_PANEL_ROWS", panel_rows)
+            # and the tiles themselves, with the block compacted after its first chunk
+            tiles = self._sweep(points, targets, lambda rows: np.isin(rows, order[left:]))
+            return [min_squared_distances(targets, points, engine="blas"),
+                    min_squared_distances(targets, points, engine="blas", settle=settle),
+                    first_hit_index(targets, points, r),
+                    *(array for pair in tiles for array in pair)]
+
+        ref = results(1024)  # one panel per block
+        hits = ref[2]
+        assert np.count_nonzero(hits <= 2048) == 1024 - left
+        assert np.count_nonzero(hits <= 4096) == 1024 - left + 4
+        assert ref[5].size == left  # live rows at the second chunk
+        for panel_rows in (64, 256):
+            got = results(panel_rows)
+            assert len(got) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
     @pytest.mark.parametrize("rows, w, k, padded", [
         (1, 2, 2, 2),          # K < 32, not 8, 16 or 32 rows: only gemv is avoided
