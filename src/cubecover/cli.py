@@ -279,6 +279,14 @@ def _prior(p: argparse.Namespace, dimension: int) -> TargetPrior:
     return TargetPrior.uniform(dimension)
 
 
+def _designs(p: argparse.Namespace, scheme: SamplingScheme) -> int:
+    """Design draws to average over: ``--designs``, by default 2 for an i.i.d.
+    scheme; a Sobol or vertex run scores its one design, so reads no ``--designs``."""
+    if p.designs is not None and not scheme.is_iid:
+        raise CliError(f"--designs is read only by i.i.d. schemes, not by --scheme {p.scheme}")
+    return (2 if scheme.is_iid else 1) if p.designs is None else p.designs
+
+
 def _r_grid(p: argparse.Namespace) -> list[float]:
     if p.r is not None and p.r_grid is not None:
         raise CliError("--r and --r-grid were both given; give one of them")
@@ -296,12 +304,8 @@ def cmd_coverage(p: argparse.Namespace) -> tuple[list[str], list[list]]:
     r_values = _r_grid(p)
     scheme = _scheme(p, d)
     query = CoverageQuery(d, max(r_values), n, scheme, _prior(p, d))
-    # a Sobol or vertex run scores its one design, not an average over design draws
-    if p.designs is not None and not scheme.is_iid:
-        raise CliError(f"--designs is read only by i.i.d. schemes, not by --scheme {p.scheme}")
-    designs = (2 if scheme.is_iid else 1) if p.designs is None else p.designs
     stream = SeededStream(p.seed)
-    d2 = nearest_distance_sample(query, designs, p.targets, stream,
+    d2 = nearest_distance_sample(query, _designs(p, scheme), p.targets, stream,
                                  threads=p.threads, settle_radius=min(r_values))
     method = "design_averaged" if scheme.is_iid else "design_conditional"
     if p.bounds:
@@ -326,7 +330,8 @@ def cmd_radius(p: argparse.Namespace) -> tuple[list[str], list[list]]:
     d, n = p.dim, p.n
     scheme = _scheme(p, d)
     r_emp = empirical_radius_quantile(d, n, scheme, _prior(p, d), p.gamma, SeededStream(p.seed),
-                                      n_targets=p.targets, n_designs=p.designs, threads=p.threads)
+                                      n_targets=p.targets, n_designs=_designs(p, scheme),
+                                      threads=p.threads)
     return (["d", "n", "gamma", "r_empirical", "r_asymptotic"],
             [[d, n, p.gamma, r_emp, asymptotic_radius(d, n, p.gamma)]])
 
@@ -368,12 +373,13 @@ def cmd_ngamma(p: argparse.Namespace) -> tuple[list[str], list[list]]:
     columns = ["r", "n_full_cube", "n_delta_cube", "delta_star", "n_asym"]
     rows = []
     for j, r in enumerate(r_values):
-        full = empirical_n_gamma(d, r, SamplingScheme.uniform(d, 1.0), gamma, stream.child(2 * j),
-                                 **budget)
-        best, _ = empirical_n_gamma_best_delta(d, r, gamma, stream.child(2 * j + 1),
-                                               deltas=p.delta_grid,
-                                               initial_cap=full.n if full.status == "ok" else None,
-                                               **budget)
+        # child 2 * j, not j, keeps every n_full_cube of earlier output files;
+        # the odd children are left unread
+        sub = stream.child(2 * j)
+        best, cells = empirical_n_gamma_best_delta(d, r, gamma, sub, deltas=p.delta_grid, **budget)
+        full = dict(cells).get(1.0)  # the grid's delta = 1 cell is the full-cube search
+        if full is None:
+            full = empirical_n_gamma(d, r, SamplingScheme.uniform(d, 1.0), gamma, sub, **budget)
         rows.append([r, full.csv_value(), best.csv_value(),
                      "NA" if best.is_na else f"{best.delta:.10g}",
                      _fmt(n_gamma_asymptotic(d, r, gamma).value)])  # inf on overflow
@@ -506,7 +512,7 @@ _COMMANDS = {
         "delta_grid": _DELTAS, "targets": 20_000, "designs": 1, "threads": 1}),
     "radius": (cmd_radius, {
         "dim": _REQUIRED, "n": _REQUIRED, "gamma": 0.1, **_SCHEME, "prior": "uniform",
-        "targets": 20_000, "designs": 2, "threads": 1}),
+        "targets": 20_000, "designs": None, "threads": 1}),
     "design": (cmd_design, {"dim": _REQUIRED, "n": None, **_SCHEME, "hamming_nmax": None}),
 }
 

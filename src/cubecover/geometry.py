@@ -38,8 +38,8 @@ _KDTREE_MAX_DIM = 10
 # for one exact query, and the distance bound alone (eps = 0) took 44 ms.
 _KDTREE_SETTLE_EPS = 1.0
 
-# Row-chunk length for filling large point arrays in the worker pool; fixed,
-# so the chunk schedule depends only on the number of rows.
+# Row-chunk length in which the BLAS engine's workers fill a stage of point
+# rows; fixed, so the chunk schedule depends only on the number of rows.
 _ROW_CHUNK = 8192
 
 # Tile shape of both BLAS entry points: blocks of _TARGET_CHUNK targets
@@ -117,16 +117,6 @@ def _run(tasks: list, threads: int) -> list:
     return list(_pool(threads).map(lambda task: task(), tasks))
 
 
-def _map_chunks(fn, n_items: int, chunk: int, threads: int) -> list:
-    """Apply ``fn(start, stop)`` over fixed chunks, optionally in threads.
-
-    The chunk schedule is a pure function of (n_items, chunk), and results are
-    combined in chunk order, so the output never depends on ``threads``.
-    """
-    return _run([functools.partial(fn, a, min(a + chunk, n_items))
-                 for a in range(0, n_items, chunk)], threads)
-
-
 def _as_points(points):
     """``(pieces, (n, d), array)`` for ``points``; ``pieces(a, b)`` yields
     float64 rows a..b-1 as consecutive blocks.
@@ -141,23 +131,6 @@ def _as_points(points):
         return points.pieces, points.shape, None
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     return (lambda a, b: (P[a:b],)), P.shape, P
-
-
-def _point_array(pieces, shape: tuple[int, int], threads: int = 1) -> np.ndarray:
-    """All rows of an :func:`_as_points` reader as one float64 array.
-
-    Rows are read in ``_ROW_CHUNK``-row chunks in the worker pool of
-    ``_map_chunks``.
-    """
-    out = np.empty(shape)
-
-    def fill(a: int, b: int) -> None:
-        for x in pieces(a, b):
-            out[a:a + x.shape[0]] = x
-            a += x.shape[0]
-
-    _map_chunks(fill, shape[0], _ROW_CHUNK, threads)
-    return out
 
 
 @functools.cache
@@ -431,7 +404,8 @@ def min_squared_distances(
         each worker holds one float32 tile of ``_POINT_CHUNK`` points by, at
         d + 1 > 32, ``_TARGET_CHUNK`` (1024) targets plus padding, 8 MB, and
         at d + 1 <= 32, a panel of ``_PANEL_ROWS`` (256) targets plus
-        padding, 2 MB.  The KD-tree engine builds the float64 array once.
+        padding, 2 MB.  The KD-tree engine gathers a row source into one
+        float64 array.
     threads : worker threads over point stages and target chunks; does not
         affect the result.
     engine : "auto", "kdtree" or "blas".  The BLAS engine expands
@@ -475,8 +449,10 @@ def min_squared_distances(
         return np.empty(0)
 
     if engine == "kdtree":
+        # a row source is gathered serially: the engine runs at d <= 10, where
+        # even 1e5 rows take 8 MB
         tree = sys.modules[__name__].cKDTree(  # resolved now: see __getattr__
-            _point_array(pieces, (n, d), threads) if array is None else array)
+            np.concatenate(list(pieces(0, n))) if array is None else array)
 
         def query(x: np.ndarray, **approx) -> np.ndarray:
             dist, _ = tree.query(x, k=1, workers=max(threads, 1), **approx)

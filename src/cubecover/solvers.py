@@ -6,9 +6,11 @@ alpha_j = 1/j (returned as log10 -- the values are astronomically large), and
 the asymptotic covering radius r_{n,1-gamma}.  Monte Carlo solvers: the
 empirical radius quantile, the best-delta radius, the radius table's cell,
 the coverage-vs-delta sweep, and the smallest n reaching coverage 1-gamma.
-Each draws its sample once under common random numbers, and the radius and n
-solvers read their answer off it as an exact order statistic instead of
-bisecting for it.
+Each draws its sample once under common random numbers: the three delta
+searches (radius, coverage sweep and n_gamma) read one stream at every delta,
+so they compare deltas on paired draws.  The radius and n solvers read their
+answer off the sample as an exact order statistic instead of bisecting for
+it.
 """
 
 from __future__ import annotations
@@ -448,15 +450,17 @@ def empirical_n_gamma_best_delta(
     n_targets: int = 10_000,
     n_designs: int = 2,
     n_cap: int = 2**22,
-    initial_cap: int | None = None,
     threads: int = 1,
 ) -> tuple[NGammaResult, list[tuple[float, NGammaResult]]]:
     """Minimize n_gamma over a delta grid of uniform schemes; ties break toward larger delta.
 
-    The grid is walked from delta = 1 downward and every cell searches only
-    up to the incumbent best n (a cell that cannot beat the incumbent cannot
-    be the argmin), which keeps hopeless cells from growing designs to
-    ``n_cap``.  Cells cut off by the incumbent are listed as "pruned".
+    Every delta reads ``stream`` itself, so the grid is compared on common
+    random numbers, and each "ok" cell is :func:`empirical_n_gamma` at that
+    delta on ``stream``.  The grid is walked from the largest delta down.  The
+    first cell searches up to ``n_cap``, and every later cell only up to the
+    incumbent best n (a cell that cannot beat the incumbent cannot be the
+    argmin), which keeps hopeless cells from growing designs to ``n_cap``.
+    Cells cut off by the incumbent are listed as "pruned".
 
     A best cell with n <= 1 is reported as NA/"degenerate": one point already
     covers the required fraction, so there is no sampling scheme left to tune.
@@ -464,10 +468,10 @@ def empirical_n_gamma_best_delta(
     grid = _checked_delta_grid(default_delta_grid() if deltas is None else deltas)[::-1]
     per_delta: list[tuple[float, NGammaResult]] = []
     best: NGammaResult | None = None
-    cap = min(n_cap, initial_cap) if initial_cap else n_cap
-    for j, delta in enumerate(grid):
+    cap = n_cap
+    for delta in grid:
         scheme = SamplingScheme.uniform(d, delta)
-        res = empirical_n_gamma(d, r, scheme, gamma, stream.child(j),
+        res = empirical_n_gamma(d, r, scheme, gamma, stream,
                                 n_targets=n_targets, n_designs=n_designs, n_cap=cap, threads=threads)
         if res.status != "ok" and cap < n_cap:
             res = NGammaResult(None, delta, "pruned")

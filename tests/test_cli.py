@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cubecover.cli as cli_module
 import cubecover.coverage as coverage_module
 import cubecover.geometry as geometry_module
+import cubecover.solvers as solvers_module
 from cubecover.cli import (
     _COMMANDS,
     _FIELDS,
@@ -20,10 +22,12 @@ from cubecover.cli import (
 )
 from cubecover.coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
 from cubecover.geometry import unit_ball_volume
+from cubecover.sampling import SamplingScheme
 from cubecover.solvers import (
     _exact_radius,
     asymptotic_coverage,
     default_delta_grid,
+    empirical_n_gamma,
     radius_best_delta,
 )
 from cubecover.streams import SeededStream
@@ -116,18 +120,22 @@ class TestCoverageCommand:
     @pytest.mark.parametrize("scheme", ["sobol", "vertex"])
     def test_designs_rejected_for_one_design_schemes(self, tmp_path, capsys, scheme):
         # a Sobol or vertex run scores its one design, so --designs goes unread
-        args = ("coverage", "--dim", "3", "--n", "4", "--r", "0.3", "--scheme", scheme,
-                "--targets", "1000", "--seed", "1")
         cfg = tmp_path / "d.cfg"
         cfg.write_text("designs = 5\n")
-        for extra in (("--designs", "5"), ("--designs", "1"), ("--config", str(cfg))):
-            code, out = run(tmp_path, "c.csv", *args, *extra)
-            assert code == 2
-            assert capsys.readouterr().err == (f"cubecover coverage: error: --designs is read "
-                                               f"only by i.i.d. schemes, not by --scheme {scheme}\n")
-            assert not out.exists()
-        code, _ = run(tmp_path, "c.csv", *args)
-        assert code == 0
+        for command, radius in (("coverage", ("--r", "0.3")), ("radius", ())):
+            args = (command, "--dim", "3", "--n", "4", *radius, "--scheme", scheme,
+                    "--targets", "1000", "--seed", "1")
+            for extra in (("--designs", "5"), ("--designs", "1"), ("--config", str(cfg))):
+                code, out = run(tmp_path, "c.csv", *args, *extra)
+                assert code == 2
+                assert capsys.readouterr().err == (
+                    f"cubecover {command}: error: --designs is read only by i.i.d. schemes, "
+                    f"not by --scheme {scheme}\n")
+                assert not out.exists()
+            code, out = run(tmp_path, "c.csv", *args)
+            assert code == 0
+            out.unlink()
+            capsys.readouterr()
 
     @pytest.mark.parametrize("law", [("--scheme", "beta", "--alpha", "1"),
                                      ("--prior", "beta", "--alpha", "1")],
@@ -560,6 +568,41 @@ class TestNgammaCommand:
         n_asym = float(out.read_text().splitlines()[2].split(",")[4])
         assert n_asym == pytest.approx(-np.log(0.1) / (2.1**50 * unit_ball_volume(50)), rel=1e-9)
 
+    @pytest.mark.parametrize("grid", ["0.6,0.8,1", "0.6,0.8"])
+    def test_one_full_cube_search_per_radius_on_child_2j(self, tmp_path, monkeypatch, grid):
+        deltas = []
+
+        def counting(d, r, scheme, *args, **kwargs):
+            deltas.append(scheme.delta)
+            return empirical_n_gamma(d, r, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(solvers_module, "empirical_n_gamma", counting)
+        monkeypatch.setattr(cli_module, "empirical_n_gamma", counting)
+        code, out = run(tmp_path, "g.csv", "ngamma", "--dim", "5", "--r-grid", "0.35,0.4",
+                        "--delta-grid", grid, "--targets", "500", "--designs", "1", "--seed", "4")
+        assert code == 0
+        assert deltas.count(1.0) == 2
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        for j, (row, r) in enumerate(zip(rows, (0.35, 0.4))):
+            full = empirical_n_gamma(5, r, SamplingScheme.uniform(5, 1.0), 0.1,
+                                     SeededStream(4).child(2 * j), n_targets=500, n_designs=1)
+            assert row[1] == full.csv_value() != "NA"
+
+    def test_grid_without_delta_one_reports_its_best_cell(self, tmp_path):
+        # the grid's one cell needs 708 points, the full cube 44: the grid's
+        # best is printed, not capped at the full cube's count
+        code, out = run(tmp_path, "g.csv", "ngamma", "--dim", "3", "--r-grid", "0.3",
+                        "--delta-grid", "0.5", "--targets", "500", "--designs", "1",
+                        "--seed", "3")
+        assert code == 0
+        row = out.read_text().splitlines()[2].split(",")
+        budget = dict(n_targets=500, n_designs=1)
+        full, cell = (empirical_n_gamma(3, 0.3, SamplingScheme.uniform(3, delta), 0.1,
+                                        SeededStream(3).child(0), **budget)
+                      for delta in (1.0, 0.5))
+        assert row[1:4] == [full.csv_value(), cell.csv_value(), "0.5"]
+        assert cell.n > full.n
+
 
 class TestIntersectCommand:
     def test_saturates_past_support(self, tmp_path):
@@ -649,12 +692,14 @@ class TestSobolCompareCommand:
 
 
 class TestBenchmarkShape:
-    """The gated benchmark workloads make the kernel calls their traced runs expect.
+    """The benchmark workloads make the kernel calls their traced runs expect,
+    and their output passes the benchmark's own check.
 
     ``perfbench/workloads.py`` states, per workload, how many
-    ``min_squared_distances`` calls and KD-tree builds its command makes; a
-    change of engine mix or call structure fails here before it fails the
-    benchmark's traced run.
+    ``min_squared_distances`` calls and KD-tree builds its command makes, and
+    the check its output must pass for any seed; a change of engine mix, of
+    call structure or of the printed values that breaks either fails here
+    before it fails the benchmark.
     """
 
     @staticmethod
@@ -676,9 +721,10 @@ class TestBenchmarkShape:
             assert callable(getattr(SeededStream, attr, None)), f"SeededStream.{attr}"
         assert callable(geometry_module.cKDTree)
 
-    @pytest.mark.parametrize("name", ["radius-table", "coverage-d50"])
+    @pytest.mark.parametrize("name", ["radius-table", "coverage-d50", "ngamma-d50"])
     def test_traced_call_counts(self, tmp_path, monkeypatch, name):
-        workload = self._perfbench(monkeypatch, "workloads").WORKLOADS[name]
+        workloads = self._perfbench(monkeypatch, "workloads")
+        workload = workloads.WORKLOADS[name]
         counts = {"geometry.min_sq.calls": 0, "geometry.kdtree.calls": 0}
         real_min_sq, real_tree = coverage_module.min_squared_distances, geometry_module.cKDTree
 
@@ -693,6 +739,7 @@ class TestBenchmarkShape:
         monkeypatch.setattr(coverage_module, "min_squared_distances", min_sq)
         monkeypatch.setattr(geometry_module, "cKDTree", tree)
         assert set(workload.expect) <= set(counts)
-        code = main([*workload.argv, "--seed", "1", "--out", str(tmp_path / "out.csv")])
-        assert code == 0
+        out = tmp_path / "out.csv"
+        assert main([*workload.argv, "--seed", "1", "--out", str(out)]) == 0
         assert {key: counts[key] for key in workload.expect} == workload.expect
+        assert workload.check(workloads.parse_csv(out.read_text()), 1) == []

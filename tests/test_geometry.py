@@ -570,7 +570,7 @@ class TestRowSource:
         targets = np.random.default_rng(d).random((150, d))
         rows = IidRows(scheme, stream, 0, n)
         assert rows.shape == (n, d)
-        # the KD-tree fills the array from the source in chunks, on every thread
+        # the KD-tree gathers the source serially, whatever the thread count
         ref = min_squared_distances(targets, rows.rows(0, n), engine=engine)
         for threads in (1, 3):
             got = min_squared_distances(targets, rows, engine=engine, threads=threads)

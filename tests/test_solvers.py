@@ -301,6 +301,31 @@ class TestEmpiricalNGamma:
                               n_targets=200, **budget)
 
 
+class TestNGammaBestDelta:
+    """Every delta of the grid reads the one stream it is given."""
+
+    # at d = 5 (seed 2) delta 0.9 and 1 tie at 104 points; at d = 10 four
+    # cells are ok and one is pruned
+    @pytest.mark.parametrize("d, r, seed", [(5, 0.4, 2), (10, 0.8, 3)])
+    def test_cells_are_the_searches_on_the_same_stream(self, d, r, seed):
+        grid, budget = [0.6, 0.7, 0.8, 0.9, 1.0], dict(n_targets=1000, n_designs=2)
+        best, cells = empirical_n_gamma_best_delta(d, r, 0.1, SeededStream(seed), deltas=grid,
+                                                   **budget)
+        alone = {delta: empirical_n_gamma(d, r, SamplingScheme.uniform(d, delta), 0.1,
+                                          SeededStream(seed), **budget)
+                 for delta in grid}
+        assert [delta for delta, _ in cells] == grid
+        assert sum(res.status == "ok" for _, res in cells) >= 2
+        for delta, res in cells:
+            if res.status == "ok":
+                assert res == alone[delta]
+            else:
+                # cut off by the incumbent: uncapped it needs more than the best
+                assert res.status == "pruned" and alone[delta].n > best.n
+        n_min = min(res.n for res in alone.values())
+        assert best == alone[max(delta for delta, res in alone.items() if res.n == n_min)]
+
+
 class TestRadiusHint:
     """A hint changes how far the kernel scans, never the radius."""
 
