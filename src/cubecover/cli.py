@@ -280,10 +280,10 @@ def _prior(p: argparse.Namespace, dimension: int) -> TargetPrior:
 
 
 def _designs(p: argparse.Namespace, scheme: SamplingScheme) -> int:
-    """Design draws to average over: ``--designs``, by default 2 for an i.i.d.
-    scheme; a Sobol or vertex run scores its one design, so reads no ``--designs``."""
-    if p.designs is not None and not scheme.is_iid:
-        raise CliError(f"--designs is read only by i.i.d. schemes, not by --scheme {p.scheme}")
+    """Design draws to average over: ``--designs``, by default 2 for an i.i.d. scheme
+    and 1 for a vertex design; a Sobol run scores its one fixed net, so reads none."""
+    if p.designs is not None and scheme.kind is SchemeKind.SOBOL_DELTA_CUBE:
+        raise CliError("--designs is not read by --scheme sobol, whose design is one fixed net")
     return (2 if scheme.is_iid else 1) if p.designs is None else p.designs
 
 
@@ -307,7 +307,7 @@ def cmd_coverage(p: argparse.Namespace) -> tuple[list[str], list[list]]:
     stream = SeededStream(p.seed)
     d2 = nearest_distance_sample(query, _designs(p, scheme), p.targets, stream,
                                  threads=p.threads, settle_radius=min(r_values))
-    method = "design_averaged" if scheme.is_iid else "design_conditional"
+    method = "design_averaged" if scheme.is_iid or len(d2) > 1 else "design_conditional"
     if p.bounds:
         pairs = _paired_distance_sample(query, max(p.targets, 10_000), stream.child(7))
 

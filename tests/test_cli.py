@@ -117,9 +117,9 @@ class TestCoverageCommand:
         header = out.read_text().splitlines()[1].split(",")
         assert header[-3:] == ["jensen_center", "jensen_refined", "product_form_approx"]
 
-    @pytest.mark.parametrize("scheme", ["sobol", "vertex"])
+    @pytest.mark.parametrize("scheme", ["sobol"])
     def test_designs_rejected_for_one_design_schemes(self, tmp_path, capsys, scheme):
-        # a Sobol or vertex run scores its one design, so --designs goes unread
+        # a Sobol run scores its one fixed net, so --designs goes unread
         cfg = tmp_path / "d.cfg"
         cfg.write_text("designs = 5\n")
         for command, radius in (("coverage", ("--r", "0.3")), ("radius", ())):
@@ -129,13 +129,32 @@ class TestCoverageCommand:
                 code, out = run(tmp_path, "c.csv", *args, *extra)
                 assert code == 2
                 assert capsys.readouterr().err == (
-                    f"cubecover {command}: error: --designs is read only by i.i.d. schemes, "
-                    f"not by --scheme {scheme}\n")
+                    f"cubecover {command}: error: --designs is not read by --scheme sobol, "
+                    f"whose design is one fixed net\n")
                 assert not out.exists()
             code, out = run(tmp_path, "c.csv", *args)
             assert code == 0
             out.unlink()
             capsys.readouterr()
+
+    def test_designs_averaged_over_vertex_designs(self, tmp_path):
+        # a vertex design is drawn at random, so more designs give another radius
+        args = ("radius", "--dim", "3", "--n", "4", "--scheme", "vertex", "--targets", "1000",
+                "--seed", "1")
+        radii = []
+        for designs in ("1", "2"):
+            code, out = run(tmp_path, f"r{designs}.csv", *args, "--designs", designs)
+            assert code == 0
+            radii.append(out.read_text().splitlines()[2].split(",")[3])
+        assert radii == ["0.5807074014", "0.5794379044"]
+        methods = []
+        for designs in ("1", "3"):
+            code, out = run(tmp_path, "c.csv", "coverage", "--dim", "3", "--n", "4", "--r", "0.3",
+                            "--scheme", "vertex", "--targets", "1000", "--designs", designs,
+                            "--seed", "1")
+            assert code == 0
+            methods.append(out.read_text().splitlines()[2].split(",")[3])
+        assert methods == ["design_conditional", "design_averaged"]
 
     @pytest.mark.parametrize("law", [("--scheme", "beta", "--alpha", "1"),
                                      ("--prior", "beta", "--alpha", "1")],
