@@ -90,7 +90,7 @@ def coverage_design_conditional(query: CoverageQuery, design: Design, n_targets:
 
 def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int,
                             stream: SeededStream, *, threads: int = 1,
-                            settle_radius: float = 0.0) -> np.ndarray:
+                            settle_radius: float = 0.0, targets: list | None = None) -> np.ndarray:
     """Squared nearest-design-point distances, shape (n_designs, n_targets).
 
     The whole radius dependence of design-averaged coverage lives in one
@@ -99,7 +99,8 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
     statistics.  An i.i.d. design goes to the kernel as an :class:`IidRows`
     row source, so its rows are drawn one stage at a time into the kernel's
     float32 rows, and neither a float64 copy nor all of its float32 rows
-    are ever held.
+    are ever held.  Design k's targets are drawn from ``stream.child(2k +
+    1)``, unless a caller drew them already and passes them as ``targets[k]``.
 
     A caller that reads the sample only through ``d2 <= r * r`` for radii
     ``r >= settle_radius`` passes the smallest such radius: the kernel then
@@ -124,8 +125,9 @@ def nearest_distance_sample(query: CoverageQuery, n_designs: int, n_targets: int
         design_stream = stream.child(2 * k)
         points = IidRows(scheme, design_stream, 0, n) if scheme.is_iid else \
             sample_design(scheme, n, design_stream).points
-        targets = sample_targets(query.prior, n_targets, stream.child(2 * k + 1))
-        out[k] = min_squared_distances(targets, points, threads=threads,
+        rows = sample_targets(query.prior, n_targets, stream.child(2 * k + 1)) \
+            if targets is None else targets[k]
+        out[k] = min_squared_distances(rows, points, threads=threads,
                                        settle=settle_radius * settle_radius)
     return out
 

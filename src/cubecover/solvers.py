@@ -7,10 +7,10 @@ the asymptotic covering radius r_{n,1-gamma}.  Monte Carlo solvers: the
 empirical radius quantile, the best-delta radius, the radius table's cell,
 the coverage-vs-delta sweep, and the smallest n reaching coverage 1-gamma.
 Each draws its sample once under common random numbers: the three delta
-searches (radius, coverage sweep and n_gamma) read one stream at every delta,
-so they compare deltas on paired draws.  The radius and n solvers read their
-answer off the sample as an exact order statistic instead of bisecting for
-it.
+searches (radius, coverage sweep and n_gamma) are one walk that draws each
+design's targets once, and every delta reads them and one design stream.
+The radius and n solvers read their answer off the sample as an exact order
+statistic instead of bisecting for it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageQuery, coverage_design_averaged, nearest_distance_sample
+from .coverage import CoverageQuery, _averaged_estimate, nearest_distance_sample
 from .estimates import CoverageEstimate
 from .geometry import first_hit_index, log_unit_ball_volume
 from .sampling import IidRows, SamplingScheme, TargetPrior, sample_targets
@@ -158,7 +158,7 @@ def empirical_radius_quantile(
 
 
 def _ranked_sample(query: CoverageQuery, n_designs: int, n_targets: int, stream: SeededStream,
-                   g: float, hint: float, threads: int) -> np.ndarray:
+                   g: float, hint: float, threads: int, targets: list | None = None) -> np.ndarray:
     """A nearest-distance sample whose ceil((1-gamma) N)-th value is the full scan's.
 
     The sample is drawn with ``settle_radius=hint``.  Targets within ``hint``
@@ -169,9 +169,10 @@ def _ranked_sample(query: CoverageQuery, n_designs: int, n_targets: int, stream:
     is exact.  Otherwise the sample is drawn again with ``settle_radius=0``.
     """
     d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads,
-                                 settle_radius=hint)
+                                 settle_radius=hint, targets=targets)
     if hint > 0.0 and np.count_nonzero(d2 <= hint * hint) >= _coverage_rank(g, d2.size):
-        d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads)
+        d2 = nearest_distance_sample(query, n_designs, n_targets, stream, threads=threads,
+                                     targets=targets)
     return d2
 
 
@@ -236,65 +237,75 @@ def delta_sweep(
 ) -> DeltaSweepResult:
     """Design-averaged coverage as a function of delta, at fixed (d, n, r).
 
-    Target draws are shared across the grid (common random numbers), so the
-    comparison between deltas is paired.  The scheme is i.i.d.
-    p_{alpha,delta}, uniform for alpha = 1.
+    One walk draws each design's targets once, and every delta reads them and
+    the same design stream, so the comparison between deltas is paired.  The
+    scheme is i.i.d. p_{alpha,delta}, uniform for alpha = 1.
     """
-    grid: list[tuple[float, CoverageEstimate]] = []
-    best_delta, best_cov = None, -1.0
-    for delta in _checked_delta_grid(deltas):
-        scheme = SamplingScheme.beta(d, alpha, delta)
-        # the same stream at every delta: the grid is compared on coupled
-        # draws, not refreshed ones
-        est = coverage_design_averaged(CoverageQuery(d, r, n, scheme, prior), n_designs,
-                                       n_targets, stream, threads=threads)
-        grid.append((delta, est))
-        if est.value >= best_cov:  # >= so ties break toward larger delta
-            best_delta, best_cov = delta, est.value
-    return DeltaSweepResult(grid, best_delta, best_cov)
+    def cell(delta, targets, previous, best_score):
+        query = CoverageQuery(d, r, n, SamplingScheme.beta(d, alpha, delta), prior)
+        est = _averaged_estimate(nearest_distance_sample(
+            query, n_designs, n_targets, stream, threads=threads, settle_radius=r,
+            targets=targets), r)
+        return -est.value, est
+
+    grid, (best_delta, best), _ = _delta_walk(deltas, prior, n_designs, n_targets, stream, cell)
+    return DeltaSweepResult(grid, best_delta, best.value)
 
 
-def _checked_delta_grid(deltas) -> list[float]:
+def _delta_walk(deltas, prior: TargetPrior, n_designs: int, n_targets: int,
+                stream: SeededStream, cell) -> tuple[list, tuple | None, float]:
+    """Walk a delta grid from the largest delta down, on targets drawn once.
+
+    Design k's targets come from ``stream.child(2k + 1)``, as in
+    :func:`nearest_distance_sample`.  ``cell(delta, targets, previous,
+    best_score)`` gets the result of the delta before (``None`` at first) and
+    returns ``(score, result)``; only a strictly lower score replaces the
+    best, so ties go to the larger delta.  Returns the ``(delta, result)``
+    pairs in ascending delta, the best pair (``None`` if no score is finite)
+    and its score.
+    """
     grid = sorted(float(x) for x in deltas)
     if not grid:
         raise ValueError("delta grid is empty")
     if any(not 0.0 < x <= 1.0 for x in grid):
         raise ValueError("all deltas must lie in (0, 1]")
-    return grid
+    targets = [sample_targets(prior, n_targets, stream.child(2 * k + 1)) for k in range(n_designs)]
+    results, best, best_score = [], None, math.inf
+    for delta in reversed(grid):
+        score, result = cell(delta, targets, results[-1][1] if results else None, best_score)
+        results.append((delta, result))
+        if score < best_score:
+            best, best_score = (delta, result), score
+    return results[::-1], best, best_score
 
 
 def radius_best_delta(d: int, n: int, gamma, deltas, stream: SeededStream, *,
                       n_targets: int = 20_000, threads: int = 1) -> tuple[float, float]:
     """(delta*, radius): the delta minimizing the empirical 1-gamma radius.
 
-    One uniform design per delta, with the same stream at every delta so the
-    grid is compared on coupled draws; ties go to the larger delta.  The grid
-    is walked from the largest delta down, and each delta's sample is drawn
-    with the previous delta's 1 - 2 gamma quantile as a hint (none for the
-    first delta, or when gamma >= 1/2).  As in
-    :func:`empirical_radius_quantile`, a hint that turns out not to lie below
-    the order statistic makes the sample be drawn again in full, so every
-    radius is the unhinted one.
+    One uniform design per delta.  One walk, from the largest delta down,
+    draws the targets once, and every delta reads them and the same design
+    stream; ties go to the larger delta.  Each delta's sample is drawn with
+    the previous delta's 1 - 2 gamma quantile as a hint (none for the first
+    delta, or when gamma >= 1/2).  As in :func:`empirical_radius_quantile`,
+    a hint that turns out not to lie below the order statistic makes the
+    sample be drawn again in full, so every radius is the unhinted one.
     """
-    delta, r, _, _ = _radius_walk(d, n, _checked_gamma(gamma), deltas, stream, n_targets, threads)
-    return delta, r
+    _, (best_delta, _), r = _radius_walk(d, n, gamma, deltas, stream, n_targets, threads)
+    return best_delta, r
 
 
-def _radius_walk(d: int, n: int, g: float, deltas, stream: SeededStream, n_targets: int,
-                 threads: int) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """:func:`radius_best_delta`, with the samples at the largest delta and at delta*."""
-    best_delta, best_r, best, first = None, math.inf, None, None
-    hint = 0.0
-    for delta in reversed(_checked_delta_grid(deltas)):
-        query = CoverageQuery.uniform(d, 0.0, n, delta)
-        d2 = _ranked_sample(query, 1, n_targets, stream, g, hint, threads)
-        r = _exact_radius(d2, g)
-        if r < best_r:  # strict, walking down, so ties break toward larger delta
-            best_delta, best_r, best = delta, r, d2
-        if first is None:
-            first = d2
-        hint = _radius_hint(d2, g)
-    return best_delta, best_r, first, best
+def _radius_walk(d: int, n: int, gamma, deltas, stream: SeededStream, n_targets: int,
+                 threads: int) -> tuple[list, tuple, float]:
+    """The walk of :func:`radius_best_delta`; a delta's result is its sample's hint."""
+    g = _checked_gamma(gamma)
+
+    def cell(delta, targets, previous, best_score):
+        d2 = _ranked_sample(CoverageQuery.uniform(d, 0.0, n, delta), 1, n_targets, stream, g,
+                            0.0 if previous is None else previous, threads, targets)
+        return _exact_radius(d2, g), _radius_hint(d2, g)
+
+    return _delta_walk(deltas, TargetPrior.uniform(d), 1, n_targets, stream, cell)
 
 
 @dataclass(frozen=True)
@@ -318,18 +329,15 @@ def radius_table_cell(d: int, n: int, gamma, deltas, stream: SeededStream, *,
     first, so its samples at delta = 1 (when the grid has it) and at delta*
     hint the two radius solves; the hints change the run time only.
     """
-    g = _checked_gamma(gamma)
-    grid = _checked_delta_grid(deltas)
-    best_delta, _, first, best = _radius_walk(d, n, g, grid, stream.child(1), sweep_targets,
-                                              threads)
+    hints, (best_delta, best_hint), _ = _radius_walk(d, n, gamma, deltas, stream.child(1),
+                                                     sweep_targets, threads)
     prior = TargetPrior.uniform(d)
-    full_hint = _radius_hint(first, g) if grid[-1] == 1.0 else 0.0
-    r_full = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, 1.0), prior, g,
+    r_full = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, 1.0), prior, gamma,
                                        stream.child(0), n_targets=n_targets, n_designs=n_designs,
-                                       threads=threads, hint=full_hint)
-    r_best = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, best_delta), prior, g,
+                                       threads=threads, hint=dict(hints).get(1.0, 0.0))
+    r_best = empirical_radius_quantile(d, n, SamplingScheme.uniform(d, best_delta), prior, gamma,
                                        stream.child(2), n_targets=n_targets, n_designs=n_designs,
-                                       threads=threads, hint=_radius_hint(best, g))
+                                       threads=threads, hint=best_hint)
     return RadiusCell(r_full, r_best, best_delta)
 
 
@@ -375,27 +383,35 @@ def empirical_n_gamma(
     random numbers in n by construction.  Coverage that cannot reach
     1 - gamma by ``n_cap`` yields the infeasible marker.
     """
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
     if not scheme.is_iid:
         raise ValueError("empirical_n_gamma needs an i.i.d. scheme")
+    [(_, res)], _, _ = _n_gamma_walk(d, r, scheme.alpha, gamma, [scheme.delta], stream, n_targets,
+                                     n_designs, n_cap, threads)
+    return res
+
+
+def _n_gamma_walk(d: int, r: float, alpha: float, gamma, deltas, stream: SeededStream,
+                  n_targets: int, n_designs: int, n_cap: int, threads: int) -> tuple:
+    """The delta walk of :func:`empirical_n_gamma_best_delta` over i.i.d.
+    p_{alpha,delta} schemes; a walk over one delta is :func:`empirical_n_gamma`."""
+    if r <= 0:
+        raise ValueError(f"radius must be > 0, got {r}")
     if n_cap < 1:
         raise ValueError(f"n_cap must be >= 1, got {n_cap}")
     if n_designs < 1:
         raise ValueError(f"n_designs must be >= 1, got {n_designs}")
     g = _checked_gamma(gamma)
-    prior = TargetPrior.uniform(d)
 
-    hit_chunks: list[np.ndarray] = []
-    for k in range(n_designs):
-        targets = sample_targets(prior, n_targets, stream.child(2 * k + 1))
-        hit_chunks.append(_first_hit_growing(scheme, targets, r, g, stream.child(2 * k), n_cap, threads))
-    hits = np.concatenate(hit_chunks)
+    def cell(delta, targets, previous, best_score):
+        scheme, cap = SamplingScheme.beta(d, alpha, delta), min(n_cap, best_score)
+        hits = np.concatenate([_first_hit_growing(scheme, rows, r, g, stream.child(2 * k), cap, threads)
+                               for k, rows in enumerate(targets)])
+        n_star = int(_coverage_order_statistic(hits, g))
+        if n_star <= cap:
+            return n_star, NGammaResult(n_star, delta)
+        return math.inf, NGammaResult(None, delta, "pruned" if cap < n_cap else "infeasible")
 
-    n_star = int(_coverage_order_statistic(hits, g))
-    if n_star > n_cap:
-        return NGammaResult(None, scheme.delta, "infeasible")
-    return NGammaResult(n_star, scheme.delta, "ok")
+    return _delta_walk(deltas, TargetPrior.uniform(d), n_designs, n_targets, stream, cell)
 
 
 def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g: float,
@@ -414,20 +430,14 @@ def _first_hit_growing(scheme: SamplingScheme, targets: np.ndarray, r: float, g:
     threads, for any block) with no float64 copy.  First hits are exact
     over prefixes, so the block schedule does not change the result.
     """
-    n_targets = targets.shape[0]
-    allowed_misses = math.floor(g * n_targets)
-    hits = np.full(n_targets, n_cap + 1, dtype=np.int64)
-
-    half = 0.5 * scheme.delta
-    gap = np.maximum(np.abs(targets - 0.5) - half, 0.0)
-    reachable = np.einsum("ij,ij->i", gap, gap) <= r * r
-    if int(np.count_nonzero(~reachable)) > allowed_misses:
+    hits = np.full(len(targets), n_cap + 1, dtype=np.int64)
+    gap = np.maximum(np.abs(targets - 0.5) - 0.5 * scheme.delta, 0.0)
+    unhit = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= r * r)
+    misses_left = math.floor(g * len(targets)) - (len(targets) - unhit.size)
+    if misses_left < 0:
         return hits  # coverage 1-gamma is unreachable at any design size
-
-    unhit = np.flatnonzero(reachable)
-    grown = 0
-    block = 1024
-    while grown < n_cap and unhit.size + (n_targets - int(np.count_nonzero(reachable))) > allowed_misses:
+    grown, block = 0, 1024
+    while grown < n_cap and unhit.size > misses_left:
         m = min(block, n_cap - grown)
         sub = first_hit_index(targets[unhit], IidRows(scheme, stream, grown, grown + m), r,
                               threads=threads)
@@ -454,34 +464,21 @@ def empirical_n_gamma_best_delta(
 ) -> tuple[NGammaResult, list[tuple[float, NGammaResult]]]:
     """Minimize n_gamma over a delta grid of uniform schemes; ties break toward larger delta.
 
-    Every delta reads ``stream`` itself, so the grid is compared on common
-    random numbers, and each "ok" cell is :func:`empirical_n_gamma` at that
-    delta on ``stream``.  The grid is walked from the largest delta down.  The
-    first cell searches up to ``n_cap``, and every later cell only up to the
-    incumbent best n (a cell that cannot beat the incumbent cannot be the
-    argmin), which keeps hopeless cells from growing designs to ``n_cap``.
-    Cells cut off by the incumbent are listed as "pruned".
+    One walk, from the largest delta down, draws each design's targets once,
+    and every delta reads them and ``stream``, so each "ok" cell is
+    :func:`empirical_n_gamma` at that delta on ``stream``.  The first cell
+    searches up to ``n_cap``, and every later cell only up to the incumbent
+    best n (a cell that cannot beat the incumbent cannot be the argmin),
+    which keeps hopeless cells from growing designs to ``n_cap``.  Cells cut
+    off by the incumbent are listed as "pruned".
 
     A best cell with n <= 1 is reported as NA/"degenerate": one point already
     covers the required fraction, so there is no sampling scheme left to tune.
     """
-    grid = _checked_delta_grid(default_delta_grid() if deltas is None else deltas)[::-1]
-    per_delta: list[tuple[float, NGammaResult]] = []
-    best: NGammaResult | None = None
-    cap = n_cap
-    for delta in grid:
-        scheme = SamplingScheme.uniform(d, delta)
-        res = empirical_n_gamma(d, r, scheme, gamma, stream,
-                                n_targets=n_targets, n_designs=n_designs, n_cap=cap, threads=threads)
-        if res.status != "ok" and cap < n_cap:
-            res = NGammaResult(None, delta, "pruned")
-        per_delta.append((delta, res))
-        if res.status == "ok" and (best is None or res.n < best.n):
-            best = res
-            cap = min(cap, res.n)
-    per_delta.reverse()
+    per_delta, best, _ = _n_gamma_walk(d, r, 1.0, gamma,
+                                       default_delta_grid() if deltas is None else deltas, stream,
+                                       n_targets, n_designs, n_cap, threads)
     if best is None:
-        best = NGammaResult(None, None, "infeasible")
-    elif best.n <= 1:
-        best = NGammaResult(best.n, best.delta, "degenerate")
-    return best, per_delta
+        return NGammaResult(None, None, "infeasible"), per_delta
+    delta, res = best
+    return (NGammaResult(res.n, delta, "degenerate") if res.n <= 1 else res), per_delta

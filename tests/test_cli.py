@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cubecover.cli as cli_module
 import cubecover.coverage as coverage_module
 import cubecover.geometry as geometry_module
 import cubecover.solvers as solvers_module
@@ -589,14 +588,16 @@ class TestNgammaCommand:
 
     @pytest.mark.parametrize("grid", ["0.6,0.8,1", "0.6,0.8"])
     def test_one_full_cube_search_per_radius_on_child_2j(self, tmp_path, monkeypatch, grid):
+        # every n_gamma search grows one design in _first_hit_growing per
+        # design replicate, and this run has one replicate
         deltas = []
+        grow = solvers_module._first_hit_growing
 
-        def counting(d, r, scheme, *args, **kwargs):
+        def counting(scheme, *args, **kwargs):
             deltas.append(scheme.delta)
-            return empirical_n_gamma(d, r, scheme, *args, **kwargs)
+            return grow(scheme, *args, **kwargs)
 
-        monkeypatch.setattr(solvers_module, "empirical_n_gamma", counting)
-        monkeypatch.setattr(cli_module, "empirical_n_gamma", counting)
+        monkeypatch.setattr(solvers_module, "_first_hit_growing", counting)
         code, out = run(tmp_path, "g.csv", "ngamma", "--dim", "5", "--r-grid", "0.35,0.4",
                         "--delta-grid", grid, "--targets", "500", "--designs", "1", "--seed", "4")
         assert code == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cubecover.coverage as coverage_module
 import cubecover.solvers as solvers_module
 from cubecover.coverage import CoverageQuery, coverage_design_averaged, nearest_distance_sample
 from cubecover.geometry import unit_ball_volume
@@ -403,7 +404,7 @@ class TestRadiusWalk:
         # fake samples whose radius is set per delta, so that deltas tie
         radii = {0.4: 0.5, 0.6: 0.5, 0.8: 0.5, 1.0: 0.75}
 
-        def fake(query, n_designs, n_targets, stream, *, threads=1, settle_radius=0.0):
+        def fake(query, n_designs, n_targets, stream, *, threads=1, settle_radius=0.0, targets=None):
             return np.full((n_designs, n_targets), radii[query.scheme.delta] ** 2)
 
         monkeypatch.setattr(solvers_module, "nearest_distance_sample", fake)
@@ -433,3 +434,68 @@ class TestRadiusWalk:
                                            stream.child(2), **kwargs)
         assert cell == RadiusCell(r_full, r_best, best_delta)
         assert radius_best_delta(d, n, 0.1, grid, stream.child(1), n_targets=1500) == (best_delta, best_r)
+
+
+class TestDeltaWalk:
+    """The radius, coverage and n_gamma searches walk their delta grid once,
+    on targets drawn once per design."""
+
+    GRID = [0.6, 0.7, 0.8, 0.9, 1.0]
+
+    @staticmethod
+    def _count_target_draws(monkeypatch):
+        draws = []
+        for module in (solvers_module, coverage_module):
+            def counted(*args, _draw=module.sample_targets, **kwargs):
+                draws.append(args[1])
+                return _draw(*args, **kwargs)
+
+            monkeypatch.setattr(module, "sample_targets", counted)
+        return draws
+
+    # the KD-tree engine at d = 5, BLAS at d = 12; a hint of 10 lies above
+    # every radius, so every delta after the first falls back to a full scan
+    @pytest.mark.parametrize("d, n", [(5, 300), (12, 500)])
+    @pytest.mark.parametrize("hint", [None, 10.0], ids=["sample-hint", "fallback"])
+    def test_radius_at_every_delta_is_the_unhinted_solve(self, monkeypatch, d, n, hint):
+        stream = SeededStream(41)
+        alone = [empirical_radius_quantile(d, n, SamplingScheme.uniform(d, delta),
+                                           TargetPrior.uniform(d), 0.1, stream, n_targets=2000,
+                                           n_designs=1)
+                 for delta in self.GRID]
+        if hint is not None:
+            monkeypatch.setattr(solvers_module, "_radius_hint", lambda d2, g: hint)
+        radii, exact = [], solvers_module._exact_radius
+        monkeypatch.setattr(solvers_module, "_exact_radius",
+                            lambda d2, g: radii.append(exact(d2, g)) or radii[-1])
+        draws = self._count_target_draws(monkeypatch)
+        best_delta, best_r = radius_best_delta(d, n, 0.1, self.GRID, stream, n_targets=2000)
+        assert radii == alone[::-1]  # visited from the largest delta down
+        assert draws == [2000]
+        assert best_r == min(alone)
+        assert best_delta == max(delta for delta, r in zip(self.GRID, alone) if r == best_r)
+
+    # 40 targets put coverage on a grid of 1/80, so deltas tie; the beta case
+    # reads alpha for both the design law and the prior
+    @pytest.mark.parametrize("d, n, r, alpha, seed, tied", [(5, 40, 0.45, 1.0, 8, [0.8, 0.9]),
+                                                             (12, 200, 0.9, 1.0, 3, [0.7, 0.8]),
+                                                             (4, 30, 0.4, 0.5, 6, [0.7, 0.8])])
+    def test_coverage_at_every_delta_is_design_averaged(self, monkeypatch, d, n, r, alpha, seed,
+                                                        tied):
+        prior, stream = TargetPrior.product_beta(d, alpha), SeededStream(seed)
+        alone = [coverage_design_averaged(CoverageQuery(d, r, n, SamplingScheme.beta(d, alpha, delta),
+                                                        prior), 2, 40, stream)
+                 for delta in self.GRID]
+        draws = self._count_target_draws(monkeypatch)
+        res = delta_sweep(d, n, r, prior, alpha, self.GRID, stream, n_targets=40, n_designs=2)
+        assert res.grid == list(zip(self.GRID, alone))
+        assert draws == [40, 40]
+        top = max(est.value for est in alone)
+        assert [delta for delta, est in res.grid if est.value == top] == tied
+        assert (res.best_delta, res.best_coverage) == (tied[-1], top)
+
+    def test_n_gamma_draws_targets_once_per_design(self, monkeypatch):
+        draws = self._count_target_draws(monkeypatch)
+        empirical_n_gamma_best_delta(5, 0.4, 0.1, SeededStream(2), deltas=self.GRID,
+                                     n_targets=1000, n_designs=2)
+        assert draws == [1000, 1000]
