@@ -345,9 +345,9 @@ def radius_table_cell(d: int, n: int, gamma, deltas, stream: SeededStream, *,
 class NGammaResult:
     """Smallest design size reaching coverage 1 - gamma, or an NA marker.
 
-    status: "ok", "infeasible" (coverage unreachable below n_cap), or
-    "degenerate" (the delta-optimized search collapsed to n <= 1, where
-    there is no design left to optimize -- reported NA either way).
+    status: "ok", "infeasible" (coverage unreachable below n_cap), "pruned"
+    (a delta cell cut off by a better cell's n) or "degenerate" (the best
+    cell needs n <= 1, so no design is left to optimize); all but "ok" are NA.
     """
 
     n: int | None
