@@ -43,28 +43,27 @@ _KDTREE_SETTLE_EPS = 1.0
 _ROW_CHUNK = 8192
 
 # Tile shape of both BLAS entry points: blocks of _TARGET_CHUNK targets
-# against _POINT_CHUNK points.  At K = d + 1 > _PANEL_MAX_K a block is
-# multiplied whole, a float32 tile of 8 MB; at K <= _PANEL_MAX_K in row panels
-# of _PANEL_ROWS, a tile of 2 MB.  With 4096 points in first_hit_index, its
-# tiles set the peak memory of
-# `ngamma --dim 50 --r-grid 2.0,2.1,2.3 --targets 5000 --threads 2`:
-# 111.6 MB median ru_maxrss against 79.6 MB at 2048, with the same output
-# (2-core Xeon, OpenBLAS at one thread).  _POINT_CHUNK is a multiple of 4, so
-# every stage of whole tiles starts at a row a row source can start from.
+# against _POINT_CHUNK points, each block visited (settle test, compaction)
+# once per tile.  A tile is multiplied in panels of _PANEL_POINTS points
+# against every live target of the block, so at every K = d + 1 a worker
+# holds one float32 panel of 256 x 1024, 1 MB, and _POINT_CHUNK sets how
+# often a block is visited, not the memory.  _POINT_CHUNK is a multiple of
+# 4, so every stage of whole tiles starts at a row a row source can start
+# from.
 _TARGET_CHUNK = 1024
 _POINT_CHUNK = 2048
 
-# Row panels of a block's product at K <= _PANEL_MAX_K: each panel's tile,
-# 256 x 2048 float32 (2 MB, a core's L2 on the 2-core Xeon), is visited before
-# the next panel is multiplied.  At low K the GEMM is bound by writing the
-# tile, so the extra packing of the point block per panel is cheap.  One call
-# of min_squared_distances, 4096 targets against 20000 i.i.d. rows settled at
-# the 80% quantile on 2 threads, took 0.927 times the whole-block CPU at
-# d = 20, 0.986 at d = 30 and 0.995 at d = 40, but 1.037 at d = 50 (medians
-# of 16 alternating pairs, OpenBLAS 0.3.31 at one thread); so larger K keeps
-# whole-block tiles.
-_PANEL_ROWS = 256
-_PANEL_MAX_K = 32
+# Points per panel of a tile.  Each panel's product, 256 x 1024 float32, is
+# consumed before the next overwrites it, and a block is visited once
+# per tile, so a panel adds only a minimum over its points.  Against whole
+# tiles, `coverage --dim 50 --n 100000 --r-grid 1.9:2.0:0.02 --targets 4096
+# --bounds --threads 2` peaked at 52.3 MB ru_maxrss against 66.6 MB, with a
+# median CPU of 0.80 s against 0.90 s (10 alternating pairs), and
+# `ngamma --dim 50 --r-grid 2.0,2.1,2.3 --targets 5000 --threads 2` at
+# 58.0 MB against 82.6 MB, with a median CPU of 2.14 s against 1.98 s (5
+# seed-matched pairs; 2-core Xeon, OpenBLAS 0.3.31 at one thread).  256-row
+# panels of the targets instead cost 7-13% more CPU at d = 50.
+_PANEL_POINTS = 256
 
 
 def __getattr__(name: str):
@@ -125,11 +124,14 @@ def _as_points(points):
     ``pieces``, and ``array`` is None; this is the one place the module tells
     the two apart, and it needs no import of the types that provide one.
     Anything else is taken as a float64 ``(n, d)`` ``array``, read as one
-    slice.
+    slice, and must be finite; a row source is drawn by the package and is
+    not checked.
     """
     if hasattr(points, "pieces"):
         return points.pieces, points.shape, None
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if not np.isfinite(P).all():
+        raise ValueError("point coordinates must be finite")
     return (lambda a, b: (P[a:b],)), P.shape, P
 
 
@@ -144,77 +146,87 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 
 def _blocked_rows(rows: int, w: int, k: int) -> int:
-    """Fewest tile rows, at least ``rows`` and 2, that keep the product of a
-    ``(rows, k)`` block with ``w`` points out of OpenBLAS's small-matrix kernel.
+    """Fewest target rows, at least ``rows`` and 2, that keep the product of a
+    panel of ``w`` points with a ``(rows, k)`` target block out of OpenBLAS's
+    small-matrix kernel.
 
-    numpy's ``block @ points.T`` is OpenBLAS's TN case with M = w, N = rows and
+    numpy's ``panel @ block.T`` is OpenBLAS's TN case with M = rows, N = w and
     K = k.  OpenBLAS 0.3.31's SkylakeX permit sends it to the small kernel
-    when M·N·K <= 1e6, K >= 32 and M·N <= 1200.  Row counts of 8, 16 and
-    32 are also padded while M·N·K <= 1e6, a margin for permits that send
-    those N to it whatever K.
+    when M·N·K <= 1e6 and either N is 8, 16 or 32, or K >= 32 and
+    M·N <= 1200.  :func:`_point_panels` never multiplies 8, 16 or 32 points,
+    so only the second clause is padded away here.
     """
-    rows = max(rows, 2)
-    while rows * w * k <= 1_000_000 and (rows in (8, 16, 32) or (k >= 32 and rows * w <= 1200)):
-        rows += 1
-    return rows
+    if k >= 32:
+        rows = max(rows, min(1200 // w, 1_000_000 // (w * k)) + 1)
+    return max(rows, 2)
 
 
-def _panels(rows: int, w: int, k: int, panel: int) -> list[tuple[int, int, int]]:
-    """``(a, b, size)`` for each row panel of a block's ``rows`` live rows
-    against ``w`` points: rows a..b-1, multiplied as ``size`` rows from row a."""
-    spans = [(a, min(a + panel, rows)) for a in range(0, rows, panel)]
-    return [(a, b, _blocked_rows(b - a, w, k)) for a, b in spans]
+def _point_panels(w: int) -> list[tuple[int, int, int]]:
+    """``(a, b, width)`` for each panel of a tile of ``w`` points: points
+    a..b-1, multiplied as ``width`` point rows from row a.
+
+    A panel of 1, 8, 16 or 32 points takes the point row after it along,
+    the next point or the row of zeros that ends a stage: one point row would
+    make the product a gemv, and 8, 16 or 32 are N values that OpenBLAS's
+    SkylakeX permit sends to its small-matrix kernel whatever M and K, while
+    M·N·K <= 1e6.
+    """
+    spans = [(a, min(a + _PANEL_POINTS, w)) for a in range(0, w, _PANEL_POINTS)]
+    return [(a, b, b - a + (b - a in (1, 8, 16, 32))) for a, b in spans]
 
 
 class _Walk:
     """One target block's walk over the point tiles, resumed stage by stage.
 
     ``t`` holds the block's augmented targets [u', 1] and ``visit`` is as in
-    :meth:`_CentredExpansion.sweep`; ``widths`` are the tile widths the walk
-    will meet and ``panel`` the rows of one product.  ``n_live`` counts the
-    targets still active.
+    :meth:`_CentredExpansion.sweep`; ``widths`` are the panel widths the walk
+    will multiply.  ``n_live`` counts the targets still active.
     """
 
-    def __init__(self, t: np.ndarray, visit, widths: set[int], panel: int):
+    def __init__(self, t: np.ndarray, visit, widths: set[int]):
         m, k = t.shape
-        self.t, self.visit, self.panel = t, visit, panel
-        # the most rows the panels of a tile reach: that never falls as rows grow
-        self.n_rows = max(a + size for w in widths for a, _, size in _panels(m, w, k, panel))
+        self.t, self.visit = t, visit
+        # the most rows a product reaches: padding grows as panels narrow,
+        # and never falls as rows grow
+        self.narrowest = min(widths)
+        self.n_rows = _blocked_rows(m, self.narrowest, k)
         self.live = np.ones(m, dtype=bool)
         self.n_live = m
         self.sub = None  # live rows of t in order, then padding; None until rebuilt
-        self.order = None
+        self.rows = None  # indices into the block of the live rows, in order
 
-    def __call__(self, tiles: list, tile_buffer) -> None:
-        """Visit ``tiles``, each ``(j, stop, points)`` with ``points`` the
-        augmented rows j..stop-1 (and the inert row after a lone point)."""
+    def _products(self, points: np.ndarray, buf: np.ndarray):
+        """``(a, panel)`` for each panel of the tile ``points``, in point order:
+        ``panel`` is the product of its points, from point a, with the live
+        targets, one row per point; each is overwritten by the next."""
+        k = self.t.shape[1]
+        for a, b, width in _point_panels(points.shape[0] - 1):
+            size = _blocked_rows(self.n_live, width, k)
+            panel = buf[:width * size].reshape(width, size)
+            np.matmul(points[a:a + width], self.sub[:size].T, out=panel)
+            yield a, panel[:b - a, :self.n_live]
+
+    def __call__(self, tiles: list, panel_buffer) -> None:
+        """Visit ``tiles``, each ``(j, points)`` with ``points`` the augmented
+        rows from j to the tile's end and one row after it."""
         m, k = self.t.shape
-        buf = tile_buffer()
-        for j, stop, points in tiles:
-            w = points.shape[0]
-            panels = _panels(self.n_live, w, k, self.panel)
-            reach = max(a + size for a, _, size in panels)
-            if self.sub is None or self.sub.shape[0] != reach:
+        buf = panel_buffer()
+        for j, points in tiles:
+            if self.sub is None:
                 # compacted rows go to a fresh array of one fixed shape; one
                 # kept for the whole sweep left table1's peak memory 8 MB
                 # higher at most seeds
-                self.order = np.argsort(~self.live, kind="stable")[:reach]
+                reach = _blocked_rows(self.n_live, self.narrowest, k)
+                order = np.argsort(~self.live, kind="stable")[:reach]
+                self.rows = order[:self.n_live]
                 packed = np.empty((self.n_rows, k), dtype=np.float32)
                 packed[m:] = 0.0
                 packed[m:, -1] = 1.0
-                np.take(self.t, self.order, axis=0, out=packed[:self.order.size])
-                self.sub = packed[:reach]
-            rows = self.order[:self.n_live]
-            # each panel's tile is visited before the next panel overwrites it;
-            # the block compacts only after its last panel
-            done = []
-            for a, b, size in panels:
-                tile = buf[:size * w].reshape(size, w)
-                np.matmul(self.sub[a:a + size], points.T, out=tile)
-                done.append(self.visit(j, rows[a:b], tile[:b - a, :stop - j]))
-            done = np.concatenate(done)
+                np.take(self.t, order, axis=0, out=packed[:order.size])
+                self.sub = packed
+            done = self.visit(j, self.rows, self._products(points, buf))
             if done.any():
-                self.live[rows[done]] = False
+                self.live[self.rows[done]] = False
                 self.n_live -= int(np.count_nonzero(done))
                 self.sub = None
                 if self.n_live == 0:
@@ -238,10 +250,10 @@ class _CentredExpansion:
     ``_ROW_CHUNK`` rows of a stage from the pieces that ``pieces`` (see
     :func:`_as_points`) yields for them, each rounded into float32 before the
     next is drawn, so a row source is never held whole in float64.  Peak
-    memory is two stage buffers, one tile and one float64 piece per worker,
-    whatever ``n``.  A tile is ``_TARGET_CHUNK`` by ``_POINT_CHUNK`` (8 MB)
-    at K = d + 1 > ``_PANEL_MAX_K`` (32), and one ``_PANEL_ROWS`` by
-    ``_POINT_CHUNK`` panel (2 MB) at K <= 32: see :meth:`sweep`.
+    memory is two stage buffers, and per worker one panel and one float64
+    piece, whatever ``n``.  A panel is ``_PANEL_POINTS`` points by the
+    ``_TARGET_CHUNK`` targets of a block, 1 MB, at every K = d + 1: see
+    :meth:`sweep`.
 
     Centring halves each coordinate's magnitude, and the rounding error of the
     expansion is of order eps32 * d * (||u'||^2 + ||x'||^2) (Higham, Accuracy
@@ -289,16 +301,14 @@ class _CentredExpansion:
     def _stage(self, buf: np.ndarray, lo: int, hi: int) -> tuple[list, list]:
         """The tasks that fill points lo..hi-1 into ``buf``, and the tiles they make.
 
-        After the points comes one inert row [0...0, +inf]: see :meth:`sweep`.
+        After the points comes one row of zeros: see :meth:`sweep`.
         """
         buf[hi - lo] = 0.0
-        buf[hi - lo, -1] = np.inf
         fills = [functools.partial(self._fill, buf, lo, a, min(a + _ROW_CHUNK, hi))
                  for a in range(lo, hi, _ROW_CHUNK)]
-        tiles = []
-        for j in range(lo, hi, _POINT_CHUNK):
-            stop = min(j + _POINT_CHUNK, self.n)
-            tiles.append((j, stop, buf[j - lo:j - lo + max(stop - j, 2)]))
+        # each tile with the row after it, the next point or the row of zeros
+        tiles = [(j, buf[j - lo:min(j + _POINT_CHUNK, hi) - lo + 1])
+                 for j in range(lo, hi, _POINT_CHUNK)]
         return fills, tiles
 
     def sweep(self, targets: np.ndarray, start) -> None:
@@ -306,56 +316,60 @@ class _CentredExpansion:
         ``targets``, dropping finished rows.
 
         ``start(tnorm)`` is called once per block, in order, with the block's
-        ||u'||^2, and returns the block's ``visit(j, rows, tile)``.  That gets
-        the point offset ``j``, the indices ``rows`` into the block of the
-        targets still active, in order, and their tile ||x'||^2 - 2 u'.x'
-        against the chunk at ``j``; it returns a boolean mask over ``rows`` of
-        the targets that need no later tile.  A block stops once none of its
+        ||u'||^2, and returns the block's ``visit(j, rows, panels)``.  That
+        gets the point offset ``j`` of a tile, the indices ``rows`` into the
+        block of the targets still active, in order, and an iterator over the
+        tile's panels, in point order: ``(a, panel)`` with ``panel`` the
+        float32 ||x'||^2 - 2 u'.x' of points j + a, j + a + 1, ... (one row
+        each) against the targets ``rows`` (one column each), valid until the
+        next panel is drawn.  It returns a boolean mask over ``rows`` of the
+        targets that need no later tile.  A block stops once none of its
         targets is active, and the sweep once no block is.
 
         Stages go in order.  Every active block walks the tiles of one stage
         while the next stage is filled into the other buffer, all as tasks of
-        one batch in the worker pool; a worker reuses one tile buffer for all
-        its tiles.  A block walks its tiles in order, so the schedule never
-        changes what a visit sees.
+        one batch in the worker pool; a worker reuses one panel buffer for
+        all its panels.  A block walks its tiles in order, so the schedule
+        never changes what a visit sees.
 
-        Each tile is one product of the active rows of the block, in order.
-        At K = d + 1 <= ``_PANEL_MAX_K`` it is multiplied and visited in row
-        panels of ``_PANEL_ROWS`` active rows, one panel after the other, and
-        at larger K as one panel; the block drops its finished rows after its
-        last panel.  Each panel's product is padded with the rows after it
-        (active, finished, then inert rows [0...0, 1]) to the row count of
-        :func:`_blocked_rows`; a lone last point is multiplied together with
-        the inert point row [0...0, +inf], whose column is not passed on.
-        BLAS sends one-row or one-column products to gemv and small products
-        to OpenBLAS's small-matrix kernel; both round differently from the
-        blocked GEMM, which gives a row the same bits whichever rows share its
-        product.  So a target's tile is bit for bit the one it gets in a full
-        block with no row dropped out, whatever the shape of its own block, of
-        its panels, of the last point chunk or of the stages.
+        A tile is multiplied in panels of ``_PANEL_POINTS`` points against
+        all active rows of the block, in order; the block drops its finished
+        rows after the visit, once per tile.  Each panel's product is padded
+        with the target rows after the active ones (finished, then inert rows
+        [0...0, 1]) to the row count of :func:`_blocked_rows`, and a panel of
+        1, 8, 16 or 32 points with the point row after it, which is the next
+        point or the row of zeros that ends each stage; the padding is not
+        passed on.  Its rows are finite: the GEMM kernel multiplies the zeros
+        it packs beyond the last target row with every point row, and an
+        infinite point row would raise the invalid-operation flag.  BLAS
+        sends one-row or one-column products to gemv and small products to
+        OpenBLAS's small-matrix kernel; both round differently from the
+        blocked GEMM, which gives a (target, point) pair the same bits
+        whichever rows share its product.  So a target's values are bit for
+        bit the ones it gets in a full block with no row dropped out, whatever
+        the shape of its own block, of the panels, of the last point chunk or
+        of the stages.
         """
         n, pc = self.n, _POINT_CHUNK
-        # a lone point takes the inert row along
-        widths = {max(min(j + pc, n) - j, 2) for j in range(0, n, pc)}
-        # a whole block is one panel at larger K
-        panel = _PANEL_ROWS if self.k <= _PANEL_MAX_K else _TARGET_CHUNK
+        widths = {width for j in range(0, n, pc)
+                  for _, _, width in _point_panels(min(j + pc, n) - j)}
         walks = []
         for a in range(0, targets.shape[0], _TARGET_CHUNK):
             t, tnorm = self.targets(targets[a:a + _TARGET_CHUNK])
-            walks.append(_Walk(t, start(tnorm), widths, panel))
+            walks.append(_Walk(t, start(tnorm), widths))
         if not walks:
             return
-        # one buffer per worker for all its tiles, sized for a full panel of
-        # the first block, the largest: tiles allocated afresh left about 8 MB
-        # more resident at d = 50, n = 1e5
-        rows = min(panel, walks[0].t.shape[0])
-        size = max(_blocked_rows(rows, w, self.k) * w for w in widths)
-        tile_buffers: dict[int, np.ndarray] = {}
+        # one buffer per worker for all its panels, sized for the largest
+        # product of the first block, the largest: whole tiles allocated
+        # afresh left about 8 MB more resident at d = 50, n = 1e5
+        rows = walks[0].t.shape[0]
+        size = max(w * _blocked_rows(rows, w, self.k) for w in widths)
+        panel_buffers: dict[int, np.ndarray] = {}
 
-        def tile_buffer() -> np.ndarray:
-            buf = tile_buffers.get(threading.get_ident())
+        def panel_buffer() -> np.ndarray:
+            buf = panel_buffers.get(threading.get_ident())
             if buf is None:
-                buf = tile_buffers[threading.get_ident()] = np.empty(size, dtype=np.float32)
+                buf = panel_buffers[threading.get_ident()] = np.empty(size, dtype=np.float32)
             return buf
 
         stages = [(lo, min(lo + self.stage, n)) for lo in range(0, n, self.stage)]
@@ -363,7 +377,7 @@ class _CentredExpansion:
         for s in range(len(stages) + 1):
             batch = []
             if s:  # walk the tiles of the stage filled last
-                batch = [functools.partial(walk, tiles, tile_buffer) for walk in walks if walk.n_live]
+                batch = [functools.partial(walk, tiles, panel_buffer) for walk in walks if walk.n_live]
                 if not batch:
                     return
             if s < len(stages):
@@ -401,11 +415,10 @@ def min_squared_distances(
         points, about 8192 rows per thread, taken from a row source in
         float64 pieces of about 512 KB.  It holds two stages of float32 rows,
         ``4 (d + 1)`` bytes a row, so its memory does not grow with ``n``, and
-        each worker holds one float32 tile of ``_POINT_CHUNK`` points by, at
-        d + 1 > 32, ``_TARGET_CHUNK`` (1024) targets plus padding, 8 MB, and
-        at d + 1 <= 32, a panel of ``_PANEL_ROWS`` (256) targets plus
-        padding, 2 MB.  The KD-tree engine gathers a row source into one
-        float64 array.
+        each worker holds one float32 panel of ``_PANEL_POINTS`` (256) points
+        by ``_TARGET_CHUNK`` (1024) targets plus padding, 1 MB, at every d.
+        The KD-tree engine gathers a row source into one float64 array.
+        An array must be finite; a row source is not checked.
     threads : worker threads over point stages and target chunks; does not
         affect the result.
     engine : "auto", "kdtree" or "blas".  The BLAS engine expands
@@ -474,8 +487,10 @@ def min_squared_distances(
         best = np.full(tnorm.size, np.inf, dtype=np.float32)
         parts.append((best, tnorm))
 
-        def visit(j: int, rows: np.ndarray, tile: np.ndarray) -> np.ndarray:
-            low = np.minimum(best[rows], tile.min(axis=1))
+        def visit(j: int, rows: np.ndarray, panels) -> np.ndarray:
+            low = best[rows]
+            for _, panel in panels:
+                np.minimum(low, panel.min(axis=0), out=low)
             best[rows] = low
             # the float32 sum the kernel returns, compared in float64
             return (low + tnorm[rows]).astype(np.float64) <= settle
@@ -504,20 +519,23 @@ def first_hit_index(
     ``min_squared_distances``, so a pair within its rounding error of
     ``radius`` may be decided either way, though never differently for
     having block-mates already hit (see ``_CentredExpansion.sweep``).
-    ``targets`` must be finite, and ``points`` is an ``(n, d)`` array or a
-    row source, read one stage at a time as in ``min_squared_distances``;
-    once every target is hit, no further stage is read.  Each worker holds
-    one float32 tile of ``_POINT_CHUNK`` points by ``_TARGET_CHUNK`` targets
-    (plus padding), 8 MB, at d + 1 > 32, and by ``_PANEL_ROWS`` targets
-    (plus padding), 2 MB, at d + 1 <= 32, as in ``min_squared_distances``.
+    ``targets`` must be finite, ``radius`` finite and ``>= 0``, and
+    ``points`` is an ``(n, d)`` array or a row source, read one stage at a
+    time as in ``min_squared_distances``; once every target is hit, no
+    further stage is read.  Each worker holds one float32 panel of
+    ``_PANEL_POINTS`` (256) points by ``_TARGET_CHUNK`` (1024) targets (plus
+    padding), 1 MB, at every d, as in ``min_squared_distances``.
     """
     pieces, (n, d), _ = _as_points(points)
     if n == 0:
         raise ValueError("point set is empty")
     T = _as_targets(targets, d)
+    radius = float(radius)
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     if T.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    r2 = np.float32(float(radius) ** 2)
+    r2 = np.float32(radius ** 2)
     parts = []
 
     def start(tnorm: np.ndarray):
@@ -525,10 +543,16 @@ def first_hit_index(
         hit = np.full(tnorm.size, n + 1, dtype=np.int64)
         parts.append(hit)
 
-        def visit(j: int, rows: np.ndarray, tile: np.ndarray) -> np.ndarray:
-            hits = tile <= slack[rows, None]
-            got = hits.any(axis=1)
-            hit[rows[got]] = j + 1 + np.argmax(hits[got], axis=1)
+        def visit(j: int, rows: np.ndarray, panels) -> np.ndarray:
+            s = slack[rows]
+            got = np.zeros(rows.size, dtype=bool)
+            for a, panel in panels:
+                hits = panel <= s
+                new = hits.any(axis=0) & ~got
+                if new.any():
+                    # the earliest hit of a target not hit in an earlier panel
+                    hit[rows[new]] = j + a + 1 + np.argmax(hits[:, new], axis=0)
+                    got |= new
             return got
 
         return visit

@@ -121,6 +121,46 @@ class TestNonFiniteTargets:
             first_hit_index(targets, rows, 0.5)
 
 
+class TestNonFinitePoints:
+    """A NaN or infinite point in an array is refused up front by both engines
+    and by first_hit_index, instead of coming back as NaN on one engine and as
+    scipy's error on the other."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", ["blas", "kdtree"])
+    def test_min_squared_distances(self, engine, bad):
+        points = np.random.default_rng(1).random((50, 4))
+        points[7, 3] = bad
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            min_squared_distances(np.full((3, 4), 0.5), points, engine=engine)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_hit_index(self, bad):
+        points = np.random.default_rng(2).random((100, 12))
+        points[99, 0] = bad
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            first_hit_index(np.full((3, 12), 0.5), points, 0.5)
+
+
+class TestFirstHitRadius:
+    """first_hit_index refuses a negative or non-finite radius, which it would
+    otherwise square into the hits of |radius| or into no hit at all."""
+
+    POINTS = np.random.default_rng(3).random((200, 5))
+
+    @pytest.mark.parametrize("radius", [-0.3, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_radius_raises(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            first_hit_index(np.full((4, 5), 0.5), self.POINTS, radius)
+        with pytest.raises(ValueError, match="radius"):
+            first_hit_index(np.empty((0, 5)), self.POINTS, radius)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.0])
+    def test_zero_radius_is_accepted(self, radius):
+        got = first_hit_index(np.full((4, 5), 0.5), self.POINTS, radius)
+        assert np.array_equal(got, [201] * 4)
+
+
 class TestEmptyTargets:
     """No targets give an empty result on both engines and in first_hit_index;
     a target array with the wrong column count still raises."""
@@ -516,12 +556,14 @@ class TestStages:
         tile = 64 * geometry_module._POINT_CHUNK * 4
         assert peak(200_000) < stages + tile + 2**21
 
-    def test_peak_memory_holds_one_panel_at_low_k(self):
-        # at d = 20 a full block of 1024 targets is multiplied in 256-row
-        # panels, so a thread holds one 2 MB panel tile, not an 8 MB block tile
-        d, n = 20, 40_000
-        targets = np.random.default_rng(37).random((1024, d))
-        rows = IidRows(SamplingScheme.uniform(d), SeededStream(38), 0, n)
+    @staticmethod
+    def _panel_peak_bound(d: int, n: int, seed: int) -> tuple[int, int]:
+        # the traced peak of both entry points for a full block of 1024
+        # targets against n rows that no target is within 0.5 of, and its
+        # bound: two stages, one 256-point panel of the block, one float64
+        # piece of a row source and 1 MB for the rest
+        targets = np.random.default_rng(seed).random((1024, d))
+        rows = IidRows(SamplingScheme.uniform(d), SeededStream(seed + 1), 0, n)
         tracemalloc.start()
         try:
             min_squared_distances(targets, rows, engine="blas")
@@ -530,9 +572,21 @@ class TestStages:
         finally:
             tracemalloc.stop()
         stages = 2 * (geometry_module._ROW_CHUNK + 1) * 4 * (d + 1)
-        tile = geometry_module._PANEL_ROWS * geometry_module._POINT_CHUNK * 4
-        piece = 2**19  # a float64 piece of a row source
-        assert peak < stages + tile + piece + 2**20
+        panel = geometry_module._PANEL_POINTS * geometry_module._TARGET_CHUNK * 4
+        piece = 2**19
+        return peak, stages + panel + piece + 2**20
+
+    def test_peak_memory_holds_one_panel_at_low_k(self):
+        # at d = 20 a thread holds one 1 MB panel of 256 points by 1024
+        # targets, not a 2 MB panel of 256 targets by 2048 points
+        peak, bound = self._panel_peak_bound(20, 40_000, 37)
+        assert peak < bound
+
+    def test_peak_memory_holds_one_panel_at_d50(self):
+        # the same 1 MB panel at d = 50, where a whole block's tile of 1024
+        # targets by 2048 points would take 8 MB
+        peak, bound = self._panel_peak_bound(50, 40_000, 39)
+        assert peak < bound
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
     def test_pieces_fill_the_whole_array_rows(self, monkeypatch, alpha):
@@ -626,26 +680,29 @@ def _run_fresh(script: str) -> None:
 
 
 class TestBlockShapeBits:
-    """A target's float32 bits do not depend on the shape of its block or of the
-    last point chunk: a lone last target row (m = 1025) and a lone last point
-    (n = 2049) get the values they get inside a full block."""
+    """A target's float32 bits do not depend on the shape of its block, of its
+    point panels or of the last point chunk: a lone last target row
+    (m = 1025), a lone last point (n = 2049) and a short last panel get the
+    values they get inside a full block."""
 
     @staticmethod
     def _sweep(points, t, done):
         # (rows, tile) of every point offset of targets t, as one block, with
-        # the visits of its row panels stacked in row order; done(rows) is the
-        # visit's mask of finished rows
+        # the tile's point panels stacked in point order and turned to one
+        # row per target; done(rows) is the visit's mask of finished rows
         read, shape, _ = geometry_module._as_points(points)
         ex = geometry_module._CentredExpansion(read, shape, 1)
-        got = {}
+        got = []
 
-        def visit(j, rows, tile):
-            got.setdefault(j, []).append((rows.copy(), tile.copy()))
+        def visit(j, rows, panels):
+            panels = [(a, panel.copy()) for a, panel in panels]
+            starts = np.cumsum([0] + [panel.shape[0] for _, panel in panels])[:-1]
+            assert [a for a, _ in panels] == list(starts)
+            got.append((rows.copy(), np.vstack([panel for _, panel in panels]).T))
             return done(rows)
 
         ex.sweep(t, lambda tnorm: visit)
-        return [(np.concatenate([rows for rows, _ in panels]),
-                 np.vstack([tile for _, tile in panels])) for panels in got.values()]
+        return got
 
     @classmethod
     def _tiles(cls, points, t):
@@ -705,48 +762,98 @@ class TestBlockShapeBits:
     @pytest.mark.parametrize("d", [12, 20])
     @pytest.mark.parametrize("left", [257, 264, 272, 288])
     def test_panel_rows_do_not_change_results(self, monkeypatch, d, left):
-        # the other targets of the block sit on points of the first chunk, so
-        # `left` of them are live at the second chunk: with 64- or 256-row
-        # panels its last panel has 1, 8, 16 or 32 live rows; four of those
-        # sit on points of the second chunk, and no other target is within r
+        # a second point chunk of `left` points: with 64- or 256-point panels
+        # its last panel has 1, 8, 16 or 32 point rows.  All but 40 targets
+        # sit on points of the first chunk, so 40 are live at the second;
+        # four of those sit on points of its last panel, and no other target
+        # is within r
         rng = np.random.default_rng(100 + left)
-        points, targets = rng.random((4096, d)), rng.random((1024, d))
+        n = 2048 + left
+        points, targets = rng.random((n, d)), rng.random((1024, d))
         order = rng.permutation(1024)
-        targets[order[left:]] = points[rng.choice(2048, 1024 - left)]
-        targets[order[:4]] = points[2048 + rng.choice(2048, 4)]
+        targets[order[40:]] = points[rng.choice(2048, 1024 - 40)]
+        targets[order[:4]] = points[2048 + 256 + rng.choice(left - 256, 4)]
         r = 0.05
         settle = float(np.quantile(min_squared_distances(targets, points, engine="blas"), 0.8))
 
-        def results(panel_rows):
-            monkeypatch.setattr(geometry_module, "_PANEL_ROWS", panel_rows)
+        def results(panel_points):
+            monkeypatch.setattr(geometry_module, "_PANEL_POINTS", panel_points)
             # and the tiles themselves, with the block compacted after its first chunk
-            tiles = self._sweep(points, targets, lambda rows: np.isin(rows, order[left:]))
+            tiles = self._sweep(points, targets, lambda rows: np.isin(rows, order[40:]))
             return [min_squared_distances(targets, points, engine="blas"),
                     min_squared_distances(targets, points, engine="blas", settle=settle),
                     first_hit_index(targets, points, r),
                     *(array for pair in tiles for array in pair)]
 
-        ref = results(1024)  # one panel per block
+        ref = results(2048)  # one panel per tile
         hits = ref[2]
-        assert np.count_nonzero(hits <= 2048) == 1024 - left
-        assert np.count_nonzero(hits <= 4096) == 1024 - left + 4
-        assert ref[5].size == left  # live rows at the second chunk
-        for panel_rows in (64, 256):
-            got = results(panel_rows)
+        assert np.count_nonzero(hits <= 2048) == 1024 - 40
+        assert np.count_nonzero(hits <= n) == 1024 - 40 + 4
+        assert ref[6].shape == (40, left)  # live rows at the second chunk
+        for panel_points in (64, 256):
+            got = results(panel_points)
             assert len(got) == len(ref)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
+    @pytest.mark.parametrize("last", [1, 8, 16, 32])
+    def test_few_live_rows_and_a_short_last_panel(self, monkeypatch, last):
+        # at K = 51, block B holds live targets beside copies of first-chunk
+        # points, so it falls to 1-6 live rows at the second chunk, whose
+        # last panel has `last` points; block A holds the same live targets
+        # beside far targets, so no row of it ever drops out.  Each live
+        # target lies 0.3 from a point of that last panel, its nearest point
+        monkeypatch.setattr(geometry_module, "_POINT_CHUNK", 512)
+        d, n = 50, 512 + 256 + last
+        rng = np.random.default_rng(110 + last)
+        points = rng.random((n, d))
+        step = rng.standard_normal((6, d))
+        step *= 0.3 / np.linalg.norm(step, axis=1)[:, None]
+        live = points[n - 1 - rng.choice(last, 6)] + step
+        block_a = np.vstack([live, 5.0 + rng.random((1018, d))])
+        block_b = np.vstack([live, points[rng.choice(512, 1018)]])
+        full = self._tiles(points, block_a)
+        full_d2 = min_squared_distances(block_a, points, engine="blas")
+        radii = 0.3 * (1.0 + 1e-6 * np.arange(-10, 11))
+        full_hits = [first_hit_index(block_a, points, r)[:6] for r in radii]
+        decided = np.array(full_hits) == n + 1
+        assert decided.any() and not decided.all()  # the radii straddle float32 decisions
+        for k in range(1, 7):
+            b = np.vstack([live[:k], block_b[6:]])
+            got = self._sweep(points, b, lambda rows: rows >= k)
+            assert np.array_equal(got[1][0], np.arange(k))
+            assert np.array_equal(got[1][1], full[1][:k])
+            d2 = min_squared_distances(b, points, engine="blas", settle=0.01)
+            assert np.all(d2[k:] <= 0.01)
+            assert np.array_equal(d2[:k], full_d2[:k])
+            for r, hits in zip(radii, full_hits):
+                assert np.array_equal(first_hit_index(b, points, r)[:k], hits[:k])
+
     @pytest.mark.parametrize("rows, w, k, padded", [
-        (1, 2, 2, 2),          # K < 32, not 8, 16 or 32 rows: only gemv is avoided
-        (16, 2048, 13, 17),    # 16 rows with M·N·K <= 1e6
-        (8, 2048, 51, 9),
+        (1, 2, 2, 2),          # K < 32: only gemv is avoided
+        (16, 256, 13, 16),     # 8, 16 or 32 target rows are M, not padded
+        (8, 256, 51, 8),       # 2048 outputs: blocked
         (16, 2048, 51, 16),    # M·N·K > 1e6: already blocked
         (1, 16, 51, 76),       # K >= 32: past 1200 outputs
+        (3, 256, 51, 5),
+        (6, 200, 51, 7),       # exactly 1200 outputs is still small
+        (1, 2, 51, 601),       # a lone point and the row after it
         (1, 2, 1001, 500),     # K >= 32: past 1e6 multiply-adds before 1200 outputs
         (1024, 2048, 11, 1024),
     ])
     def test_blocked_rows(self, rows, w, k, padded):
         assert geometry_module._blocked_rows(rows, w, k) == padded
+
+    @pytest.mark.parametrize("w, panels", [
+        (2048, [(a, a + 256, 256) for a in range(0, 2048, 256)]),
+        (257, [(0, 256, 256), (256, 257, 2)]),  # one point: no gemv
+        (264, [(0, 256, 256), (256, 264, 9)]),  # 8, 16 or 32: no small kernel
+        (16, [(0, 16, 17)]),
+        (288, [(0, 256, 256), (256, 288, 33)]),
+        (1, [(0, 1, 2)]),
+        (33, [(0, 33, 33)]),
+    ])
+    def test_point_panels(self, w, panels):
+        assert geometry_module._point_panels(w) == panels
 
     @pytest.mark.parametrize("d", [12, 50])
     def test_min_squared_distances_lone_row(self, d):
